@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench bench-check gap gap-golden all
+.PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench bench-check bench-suite bench-suite-check gap gap-golden all
 
 ## Everything static in one command: all four simlint layers in one
 ## pass (per-file SIM001-SIM006, whole-program --deep SIM101-SIM106,
@@ -83,6 +83,20 @@ bench:
 ## REPRO_PERF_TOLERANCE overrides the 20% band).
 bench-check:
 	$(PYTHON) benchmarks/perf_trajectory.py --check --workloads scal-k4
+
+## The layered benchmark suite (benchmarks/suite/README.md): every
+## workload once, each in its own child interpreter, end-to-end and
+## per-layer metrics written to .bench_build/suite.json.  Several
+## minutes; run on an otherwise-idle machine.
+bench-suite:
+	$(PYTHON) benchmarks/suite/run.py --out .bench_build/suite.json
+
+## What the suite-pins CI job runs: every exact work counter and JCT
+## fingerprint against benchmarks/suite/pins.json (a change that moves
+## one fails), plus the suite's own self-test.
+bench-suite-check:
+	$(PYTHON) benchmarks/suite/run.py --check
+	$(PYTHON) -m pytest benchmarks/suite -q
 
 ## Strict-invariant chaos run (what the chaos-smoke CI job executes),
 ## including the gap-harness comparators.

@@ -1,9 +1,15 @@
-"""Incremental allocation engine: rebuild savings at identical JCTs.
+"""Incremental allocation engine: exact audit and rebuild counts.
 
-The engine's acceptance bench: across the scalability workloads it must
-perform at least 2x fewer full link-membership rebuilds than the legacy
-path, while every per-job completion time matches to 1e-9.  The smoke
-variant is small enough for a CI minute.
+The engine's acceptance bench.  Each workload runs twice: once plain
+(timed), and once with the strict invariant checker auditing every
+allocation against a from-scratch rebuild (``audit_interval = 1``: link
+memberships, class layout, and rates compared with ``==``).  A clean
+audited run is bit-identical to one that recomputed every allocation
+from scratch, so the bench requires a clean audit, JCTs equal to the
+plain run, and the engine's exact class-membership rebuild count: none
+for the max-min ``pfs`` policy, one (the first classed request) for the
+classed ``gurita`` policy.  The smoke variant is small enough for a CI
+minute.
 """
 
 import time
@@ -13,73 +19,71 @@ from _util import bench_jobs
 from repro.experiments.common import ScenarioConfig, build_jobs
 from repro.experiments.figures import figure5_configs, figure6_config
 from repro.schedulers.registry import make_scheduler
-from repro.simulator.bandwidth.maxmin import (
-    membership_rebuilds,
-    reset_membership_rebuilds,
-)
 from repro.simulator.observability import allocation_counters
-from repro.simulator.runtime import simulate
+from repro.simulator.runtime import CoflowSimulation
 from repro.simulator.topology.fattree import FatTreeTopology
 
-JCT_TOLERANCE = 1e-9
+#: Exact ``EngineStats.full_rebuilds`` per policy: MAXMIN never builds
+#: class memberships, and a classed policy with a fixed class count
+#: builds them once.
+EXPECTED_REBUILDS = {"pfs": 0, "gurita": 1}
 
 
-def _run_both(config, scheduler_name):
-    """One workload through the legacy and engine paths; return both."""
+def _run_pair(config, scheduler_name):
+    """One workload, plain and audited; returns {audited: (result, s)}."""
     outcome = {}
-    for use_engine in (False, True):
+    for audited in (False, True):
         topology = FatTreeTopology(k=config.fattree_k)
         jobs = build_jobs(config, topology.num_hosts)
-        reset_membership_rebuilds()
-        start = time.perf_counter()
-        result = simulate(
-            topology, make_scheduler(scheduler_name), jobs, use_engine=use_engine
+        sim = CoflowSimulation(
+            topology,
+            make_scheduler(scheduler_name),
+            jobs,
+            check_invariants=audited,
+            strict_invariants=audited,
         )
-        elapsed = time.perf_counter() - start
-        outcome[use_engine] = (result, membership_rebuilds(), elapsed)
+        if audited:
+            sim.invariants.audit_interval = 1
+        start = time.perf_counter()
+        result = sim.run()
+        outcome[audited] = (result, time.perf_counter() - start)
     return outcome
 
 
-def _assert_jct_parity(legacy_result, engine_result):
-    legacy = {j.job_id: j.completion_time() for j in legacy_result.jobs}
-    engine = {j.job_id: j.completion_time() for j in engine_result.jobs}
-    assert engine.keys() == legacy.keys()
-    worst = max(abs(engine[j] - legacy[j]) for j in legacy)
-    assert worst <= JCT_TOLERANCE, f"JCT divergence {worst:.3e}"
-    return worst
-
-
-def _report_row(label, outcome):
-    (legacy_result, legacy_rebuilds, legacy_s) = outcome[False]
-    (engine_result, engine_rebuilds, engine_s) = outcome[True]
-    worst = _assert_jct_parity(legacy_result, engine_result)
-    counters = allocation_counters(engine_result)
-    ratio = legacy_rebuilds / engine_rebuilds if engine_rebuilds else float("inf")
-    print(
-        f"  {label:24s} rebuilds {legacy_rebuilds:5d} -> {engine_rebuilds:3d} "
-        f"({ratio:5.1f}x)  skip {counters.skip_fraction:4.0%}  "
-        f"cache-hits {counters.cache_hits:4d}  rows {counters.rows_updated:5d}  "
-        f"{legacy_s:5.2f}s -> {engine_s:5.2f}s  maxdiff {worst:.1e}"
+def _report_row(label, scheduler_name, outcome):
+    (plain, plain_s) = outcome[False]
+    (audited, audited_s) = outcome[True]
+    report = audited.invariant_report
+    assert report is not None and report.clean, report.summary()
+    assert audited.job_completion_times() == plain.job_completion_times()
+    assert audited.engine_stats == plain.engine_stats
+    rebuilds = plain.engine_stats.full_rebuilds
+    assert rebuilds == EXPECTED_REBUILDS[scheduler_name], (
+        f"{label}: {rebuilds} full rebuilds, expected "
+        f"{EXPECTED_REBUILDS[scheduler_name]}"
     )
-    return legacy_rebuilds, engine_rebuilds
+    counters = allocation_counters(plain)
+    print(
+        f"  {label:24s} allocations {plain.engine_stats.allocations:5d}  "
+        f"rebuilds {rebuilds:2d}  skip {counters.skip_fraction:4.0%}  "
+        f"cache-hits {counters.cache_hits:4d}  rows {counters.rows_updated:5d}  "
+        f"{plain_s:5.2f}s (audited {audited_s:5.2f}s)"
+    )
 
 
 def test_engine_smoke(run_once):
-    """CI-sized check: >=2x fewer rebuilds, identical JCTs, under a minute."""
+    """CI-sized check: clean exact audit, exact rebuilds, under a minute."""
 
     def experiment():
         config = ScenarioConfig(
             name="engine-smoke", num_jobs=12, fattree_k=4, seed=11
         )
-        return {
-            name: _run_both(config, name) for name in ("pfs", "gurita")
-        }
+        return {name: _run_pair(config, name) for name in ("pfs", "gurita")}
 
     outcomes = run_once(experiment)
-    print("\nENGINE SMOKE  incremental vs full-rebuild allocation:")
+    print("\nENGINE SMOKE  incremental allocation, every allocation audited:")
     for name, outcome in outcomes.items():
-        legacy_rebuilds, engine_rebuilds = _report_row(name, outcome)
-        assert engine_rebuilds * 2 <= legacy_rebuilds
+        _report_row(name, name, outcome)
 
 
 def test_engine_rebuild_savings_scalability(run_once):
@@ -91,18 +95,17 @@ def test_engine_rebuild_savings_scalability(run_once):
             config = ScenarioConfig(
                 name=f"engine-k{k}", num_jobs=jobs_count, fattree_k=k, seed=3
             )
-            rows[f"k={k} jobs={jobs_count}"] = _run_both(config, "gurita")
+            rows[f"k={k} jobs={jobs_count}"] = _run_pair(config, "gurita")
         return rows
 
     rows = run_once(experiment)
-    print("\nENGINE SCALABILITY  rebuild savings (gurita policy):")
+    print("\nENGINE SCALABILITY  audited incremental allocation (gurita policy):")
     for label, outcome in rows.items():
-        legacy_rebuilds, engine_rebuilds = _report_row(label, outcome)
-        assert engine_rebuilds * 2 <= legacy_rebuilds
+        _report_row(label, "gurita", outcome)
 
 
 def test_engine_parity_on_paper_workloads(run_once):
-    """Figures 5 and 6 workloads: engine JCTs match to 1e-9 everywhere."""
+    """Figures 5 and 6 workloads: every allocation matches from scratch."""
 
     def experiment():
         configs = [
@@ -112,14 +115,10 @@ def test_engine_parity_on_paper_workloads(run_once):
         rows = {}
         for config in configs:
             small = config.with_overrides(fattree_k=4)
-            rows[config.name] = _run_both(small, "gurita")
+            rows[config.name] = _run_pair(small, "gurita")
         return rows
 
     rows = run_once(experiment)
-    print("\nENGINE PARITY  paper workloads (gurita policy):")
-    total_legacy = total_engine = 0
+    print("\nENGINE PARITY  paper workloads, audited (gurita policy):")
     for label, outcome in rows.items():
-        legacy_rebuilds, engine_rebuilds = _report_row(label, outcome)
-        total_legacy += legacy_rebuilds
-        total_engine += engine_rebuilds
-    assert total_engine * 2 <= total_legacy
+        _report_row(label, "gurita", outcome)

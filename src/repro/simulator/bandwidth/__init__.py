@@ -1,19 +1,18 @@
 """Bandwidth allocation: max-min (TCP), SPQ, and WRR-emulated SPQ.
 
-Two execution paths share one water-filling core:
-
-* the **legacy path** (:func:`dispatch_allocation`) rebuilds link
-  membership from a fresh route map on every call;
-* the **incremental engine** (:class:`AllocationState`) keeps membership
-  alive across allocation epochs and applies flow/priority deltas.
+The simulator allocates through one path, the **incremental engine**
+(:class:`AllocationState`), which keeps link membership alive across
+allocation epochs and applies flow/priority deltas.  The from-scratch
+allocators (:func:`dispatch_allocation` and the per-mode functions behind
+it) rebuild membership from a fresh route map on every call; they share
+the engine's water-filling core and serve as the reference the invariant
+checker compares every audited engine allocation against.
 """
 
 from repro.simulator.bandwidth.engine import AllocationState, EngineStats
 from repro.simulator.bandwidth.maxmin import (
     LinkMembership,
     allocate_maxmin,
-    membership_rebuilds,
-    reset_membership_rebuilds,
     water_fill,
     water_fill_membership,
 )
@@ -53,8 +52,6 @@ __all__ = [
     "class_loads_from_counts",
     "dispatch_allocation",
     "group_by_class",
-    "membership_rebuilds",
-    "reset_membership_rebuilds",
     "spq_waiting_times",
     "water_fill",
     "water_fill_membership",

@@ -21,8 +21,15 @@ epochs:
 
 Full membership rebuilds only happen when the class layout itself is
 invalidated (first priority-mode allocation, or ``num_classes`` changed).
-:class:`EngineStats` counts all of this; the benchmarks assert ≥2× fewer
-rebuilds than the legacy from-scratch path at bit-identical JCT output.
+:class:`EngineStats` counts all of this.
+
+The engine is the simulator's only allocation path.  Its oracle is the
+from-scratch allocator
+:func:`~repro.simulator.bandwidth.request.dispatch_allocation`: the
+invariant checker's engine audit
+(:meth:`~repro.simulator.invariants.InvariantChecker.audit_engine`)
+rebuilds the memberships and the rates from the runtime's ground truth
+and requires the engine's cached rates to equal the rebuilt ones exactly.
 """
 
 from __future__ import annotations
@@ -141,6 +148,11 @@ class AllocationState:
     def class_of(self) -> Dict[int, int]:
         """Effective class per flow; treat as read-only."""
         return self._class_of
+
+    @property
+    def last_rates(self) -> Dict[int, BytesPerSec]:
+        """The cached rate vector the latest :meth:`allocate` returned."""
+        return self._last_rates
 
     # ------------------------------------------------------------------
     # Structural deltas (fed by the runtime as events are applied)

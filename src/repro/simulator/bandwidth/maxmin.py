@@ -5,30 +5,23 @@ limiter that behaves like TCP"): flows traversing a bottleneck link share it
 equally, and no flow can increase its rate without decreasing that of a flow
 with an equal or smaller rate (Bertsekas & Gallager's water-filling).
 
-This is the hot path of the whole simulator, and two implementations of
-the round loop live behind one API.  The default
-(:func:`_water_fill_scalar`) maintains the per-link fair-share vector
+This is the hot path of the whole simulator.  The round loop of
+:func:`water_fill_membership` maintains the per-link fair-share vector
 *incrementally*: the full vector is derived once per fill, then each
 round only finds its minimum, freezes the members of the bottleneck
 links, and recomputes the share at only the links those flows touched;
 a link's count hits zero the round it bottlenecks, so each member list
-is scanned at most once per fill.  The alternative
-(:func:`_water_fill_vectorized`, gated by ``_VECTOR_DISPATCH``) runs
-each round on a flat CSR-style view of the routes
-(``np.minimum.reduceat`` for per-flow bottleneck detection,
-``np.subtract.at`` for the residual update).  Both replicate the
-historical loop's arithmetic operation-for-operation — within one round
-every frozen flow subtracts the *same* bottleneck share from its links
-in the same order — so the produced rates are bit-identical, and the
-parity suite holds them to that.
+is scanned at most once per fill.  Within one round every frozen flow
+subtracts the *same* bottleneck share from its links, so the produced
+rates do not depend on the order flows were frozen in.
 
 The membership structures (which flows cross which link) are factored into
 :class:`LinkMembership` so the incremental engine
 (:mod:`repro.simulator.bandwidth.engine`) can keep them alive across
 allocation epochs and mutate them by flow add/remove deltas instead of
-rebuilding them on every call.  Every from-scratch construction is counted
-(see :func:`membership_rebuilds`) — the engine's acceptance metric is built
-on exactly this counter.
+rebuilding them on every call.  :func:`water_fill` builds a fresh
+membership per call; it is the from-scratch reference the invariant
+checker audits the engine against.
 
 Float comparisons against the bottleneck share and against exhausted
 residual capacity are routed through the blessed helpers
@@ -51,19 +44,6 @@ from repro.simulator.units import BytesPerSec
 
 #: Rate tolerance for freeze/exhaustion comparisons (bytes/second).
 _EPSILON: BytesPerSec = 1e-9
-
-#: Flow counts below which the vectorised round is never worth trying
-#: (numpy call overhead dominates tiny memberships).
-_VECTOR_MIN_FLOWS = 12
-
-#: Whether :func:`water_fill_membership` dispatches to the CSR round loop
-#: at ``_VECTOR_MIN_FLOWS``+ flows.  Calibration on fattree-shaped
-#: memberships (see docs/performance.md) found the incremental-share
-#: scalar loop faster at *every* measured size — its python freeze work
-#: touches only bottleneck-link members, while each CSR round pays
-#: O(total hops) in the gather/reduceat — so the vectorised path is kept
-#: behind this switch for mass-tie workloads and the parity suite.
-_VECTOR_DISPATCH = False
 
 
 def share_at_most(
@@ -98,73 +78,6 @@ def capacity_exhausted(capacity: BytesPerSec) -> bool:
 #: A flow's route: the directed link ids it traverses.
 Route = Tuple[int, ...]
 
-#: Full from-scratch membership constructions (non-empty flow sets only);
-#: the legacy path pays one per water-fill, the engine only on invalidation.
-_membership_rebuilds = 0
-
-
-def membership_rebuilds() -> int:
-    """How many times link-membership structures were built from scratch."""
-    return _membership_rebuilds
-
-
-def reset_membership_rebuilds() -> None:
-    """Reset the rebuild counter (benchmarks call this between runs)."""
-    global _membership_rebuilds
-    _membership_rebuilds = 0
-
-
-class _CsrView:
-    """Flat CSR view of a membership's routes, plus reusable scratch.
-
-    Built once per membership mutation generation (see
-    :meth:`LinkMembership.csr`) instead of once per water-fill.  The
-    scratch buffers let the round loop run entirely with ``out=``
-    arguments; a membership is never water-filled reentrantly, so the
-    buffers cannot alias a concurrent fill.
-    """
-
-    __slots__ = (
-        "flow_ids", "arrs", "lengths", "links_flat", "starts",
-        "all_nonempty", "nonempty", "starts_nonempty", "fancy_safe",
-        "shares", "num_buf", "cpos", "gather", "seg_min", "active",
-        "newly_buf",
-    )
-
-    def __init__(self, membership: "LinkMembership") -> None:
-        self.flow_ids = list(membership.routes)
-        n = len(self.flow_ids)
-        arrays = membership.route_arrays
-        self.arrs = [arrays[flow_id] for flow_id in self.flow_ids]
-        self.lengths = np.fromiter(
-            (a.size for a in self.arrs), dtype=np.intp, count=n
-        )
-        self.links_flat = (
-            np.concatenate(self.arrs) if n else np.empty(0, dtype=np.intp)
-        )
-        ptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(self.lengths, out=ptr[1:])
-        self.starts = ptr[:-1]
-        self.nonempty = self.lengths > 0
-        self.all_nonempty = bool(self.nonempty.all())
-        self.starts_nonempty = self.starts[self.nonempty]
-        #: Routes are simple paths, so links within one route are distinct
-        #: and buffered fancy-index subtraction equals ``np.subtract.at``.
-        #: Guarded anyway: a degenerate route with repeated links falls
-        #: back to the unbuffered path.
-        self.fancy_safe = all(
-            len(set(route)) == len(route)
-            for route in membership.routes.values()
-        )
-        num_links = membership.num_links
-        self.shares = np.empty(num_links, dtype=np.float64)
-        self.num_buf = np.empty(num_links, dtype=np.float64)
-        self.cpos = np.empty(num_links, dtype=bool)
-        self.gather = np.empty(self.links_flat.size, dtype=np.float64)
-        self.seg_min = np.empty(n, dtype=np.float64)
-        self.active = np.empty(n, dtype=bool)
-        self.newly_buf = np.empty(n, dtype=bool)
-
 
 class LinkMembership:
     """Per-link flow membership: who crosses each link, and how many.
@@ -179,9 +92,7 @@ class LinkMembership:
     keeps engine allocations reproducible run to run.
     """
 
-    __slots__ = (
-        "num_links", "routes", "counts", "link_members", "route_arrays", "_csr"
-    )
+    __slots__ = ("num_links", "routes", "counts", "link_members", "route_arrays")
 
     def __init__(self, num_links: int) -> None:
         self.num_links = num_links
@@ -189,24 +100,18 @@ class LinkMembership:
         self.counts: npt.NDArray[np.int64] = np.zeros(num_links, dtype=np.int64)
         self.link_members: Dict[int, Dict[int, None]] = {}
         #: per-flow route as an index array, kept in lockstep with
-        #: ``routes`` — the vectorised water-fill gathers these instead of
-        #: re-materialising arrays from tuples every round.
+        #: ``routes`` — WRR's per-class charge gathers these instead of
+        #: re-materialising arrays from tuples every allocation.
         self.route_arrays: Dict[int, npt.NDArray[np.intp]] = {}
-        #: lazily-built flat CSR view of the routes (see :meth:`csr`);
-        #: dropped on any add/remove.
-        self._csr: Union[_CsrView, None] = None
 
     @classmethod
     def from_routes(
         cls, flow_routes: Mapping[int, Route], num_links: int
     ) -> "LinkMembership":
-        """Build membership from scratch (counted as a full rebuild)."""
-        global _membership_rebuilds
+        """Build membership from scratch."""
         membership = cls(num_links)
         for flow_id, route in flow_routes.items():
             membership.add(flow_id, route)
-        if flow_routes:
-            _membership_rebuilds += 1
         return membership
 
     def add(self, flow_id: int, route: Route) -> None:
@@ -214,7 +119,6 @@ class LinkMembership:
             raise ValueError(f"flow {flow_id} already in membership")
         self.routes[flow_id] = route
         self.route_arrays[flow_id] = np.asarray(route, dtype=np.intp)
-        self._csr = None
         for link_id in route:
             self.counts[link_id] += 1
             members = self.link_members.get(link_id)
@@ -228,26 +132,12 @@ class LinkMembership:
     def remove(self, flow_id: int) -> None:
         route = self.routes.pop(flow_id)
         del self.route_arrays[flow_id]
-        self._csr = None
         for link_id in route:
             self.counts[link_id] -= 1
             members = self.link_members[link_id]
             del members[flow_id]
             if not members:
                 del self.link_members[link_id]
-
-    def csr(self) -> "_CsrView":
-        """The flat CSR view of the current routes, cached across fills.
-
-        The incremental engine keeps memberships alive over many
-        allocation epochs; rebuilding the concatenated link array every
-        water-fill was measurable on the profile.  Any :meth:`add` /
-        :meth:`remove` drops the cache.
-        """
-        view = self._csr
-        if view is None:
-            view = self._csr = _CsrView(self)
-        return view
 
     def __len__(self) -> int:
         return len(self.routes)
@@ -270,52 +160,29 @@ def water_fill_membership(
     e.g. one priority class after another.
     """
     rates: Dict[int, BytesPerSec] = {}
-    if not membership.routes:
-        return rates
-
-    if _VECTOR_DISPATCH and len(membership.routes) >= _VECTOR_MIN_FLOWS:
-        _water_fill_vectorized(membership, residual, rates)
-    else:
-        _water_fill_scalar(membership, residual, rates)
-
-    # Clean up float drift: clamp tiny negative residuals to zero.
-    np.clip(residual, 0.0, None, out=residual)
-    return rates
-
-
-@hot_path
-def _water_fill_scalar(
-    membership: LinkMembership,
-    res: npt.NDArray[np.float64],
-    rates: Dict[int, BytesPerSec],
-) -> None:
-    """The historical per-flow loop; fastest for tiny memberships.
-
-    Kept operation-for-operation identical to the vectorised path (same
-    share formula, same freeze tolerance, same per-round subtractions) so
-    both produce bit-identical rates — the parity suite asserts it.
-    """
     routes = membership.routes
-    shares = np.empty_like(res)
-    num_buf = np.empty_like(res)
-    mask_buf = np.empty(res.size, dtype=bool)
+    if not routes:
+        return rates
+    shares = np.empty_like(residual)
+    num_buf = np.empty_like(residual)
+    mask_buf = np.empty(residual.size, dtype=bool)
 
     # Initial share vector — same floats as the historical np.where
     # formulation: divide only where counts > 0, +inf everywhere else.
     # Subsequent rounds update *touched links only* with the identical
-    # scalar formula (max(res, 0) / count), so every round sees exactly
-    # the share vector the full recompute would have produced.
+    # scalar formula (max(residual, 0) / count), so every round sees
+    # exactly the share vector the full recompute would have produced.
     shares.fill(np.inf)
-    np.maximum(res, 0.0, out=num_buf)
+    np.maximum(residual, 0.0, out=num_buf)
     np.greater(membership.counts, 0, out=mask_buf)
     np.divide(num_buf, membership.counts, out=shares, where=mask_buf)
 
     # Round state lives in plain python containers — scalar list indexing
     # is several times cheaper than numpy item access at these sizes.
-    # ``res`` is written back below (all float arithmetic is IEEE double
-    # either way — bit-identical).
+    # ``residual`` is written back below (all float arithmetic is IEEE
+    # double either way — bit-identical).
     link_members = membership.link_members
-    res_l: List[float] = res.tolist()
+    res_l: List[float] = residual.tolist()
     counts_l: List[int] = membership.counts.tolist()
     inf = np.inf
 
@@ -365,105 +232,18 @@ def _water_fill_scalar(
             for link_id in route:
                 count = counts_l[link_id]
                 if count > 0:
-                    residual = res_l[link_id]
-                    shares[link_id] = (
-                        residual if residual > 0.0 else 0.0
-                    ) / count
+                    left = res_l[link_id]
+                    shares[link_id] = (left if left > 0.0 else 0.0) / count
                 else:
                     shares[link_id] = inf
         remaining -= len(newly_frozen)
-    res[:] = res_l
+    residual[:] = res_l
+
+    # Clean up float drift: clamp tiny negative residuals to zero.
+    np.clip(residual, 0.0, None, out=residual)
+    return rates
 
 
-@hot_path
-def _water_fill_vectorized(
-    membership: LinkMembership,
-    res: npt.NDArray[np.float64],
-    rates: Dict[int, BytesPerSec],
-) -> None:
-    """Progressive filling on a flat CSR view of the routes.
-
-    Per round: one share vector over the links, per-flow bottleneck
-    detection via ``np.minimum.reduceat``, and an unbuffered
-    ``np.subtract.at`` residual update.  Bit-identity with the scalar
-    loop holds because every frozen flow of a round subtracts the *same*
-    bottleneck share — sequential subtraction of equal values yields the
-    same float regardless of flow order — and the share formula is
-    unchanged.
-    """
-    view = membership.csr()
-    flow_ids = view.flow_ids
-    arrs = view.arrs
-    n = len(flow_ids)
-    lengths = view.lengths
-    links_flat = view.links_flat
-    seg_min = view.seg_min
-    shares = view.shares
-    num_buf = view.num_buf
-    cpos = view.cpos
-    gather = view.gather
-    newly_buf = view.newly_buf
-    fancy_safe = view.fancy_safe
-
-    # Float counts make the per-round divide float/float — no internal
-    # int64 cast buffer.  Counts are small exact integers, so the shares
-    # are bit-identical to dividing by the integer array.
-    counts = membership.counts.astype(np.float64)
-    active = view.active
-    active.fill(True)
-    remaining = n
-    while remaining > 0:
-        shares.fill(np.inf)
-        np.maximum(res, 0.0, out=num_buf)
-        np.greater(counts, 0, out=cpos)
-        np.divide(num_buf, counts, out=shares, where=cpos)
-        bottleneck_share = float(shares.min())
-        if not np.isfinite(bottleneck_share):
-            # Remaining flows traverse no contended link (empty routes, or
-            # inconsistent membership) — they cannot be rate-limited here.
-            for i in np.flatnonzero(active):
-                rates[flow_ids[i]] = 0.0
-            break
-        if view.all_nonempty:
-            np.take(shares, links_flat, out=gather)
-            np.minimum.reduceat(gather, view.starts, out=seg_min)
-        else:
-            seg_min.fill(np.inf)
-            if links_flat.size:
-                seg_min[view.nonempty] = np.minimum.reduceat(
-                    shares[links_flat], view.starts_nonempty
-                )
-        newly = share_at_most(seg_min, bottleneck_share, out=newly_buf)
-        newly &= active
-        frozen_indices = np.flatnonzero(newly)
-        num_frozen = int(frozen_indices.size)
-        if num_frozen == 0:
-            # Defensive: should be impossible, but never spin forever.
-            for i in np.flatnonzero(active):
-                rates[flow_ids[i]] = bottleneck_share
-            break
-        if fancy_safe and num_frozen <= 8:
-            # Small tie group (the common case): apply per flow.  The
-            # subtraction order — ascending frozen index, then route
-            # order over distinct links — matches the flat
-            # ``subtract.at`` below exactly, so both branches are
-            # bit-identical.
-            for i in frozen_indices:
-                rates[flow_ids[i]] = bottleneck_share
-                arr = arrs[i]
-                res[arr] -= bottleneck_share
-                counts[arr] -= 1.0
-        else:
-            for i in frozen_indices:
-                rates[flow_ids[i]] = bottleneck_share
-            frozen_links = links_flat[np.repeat(newly, lengths)]
-            np.subtract.at(res, frozen_links, bottleneck_share)
-            counts -= np.bincount(frozen_links, minlength=counts.size)
-        active[frozen_indices] = False
-        remaining -= num_frozen
-
-
-@hot_path
 def water_fill(
     flow_routes: Mapping[int, Route],
     residual: Union[npt.NDArray[np.float64], List[float]],

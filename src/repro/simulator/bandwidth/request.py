@@ -4,7 +4,10 @@ A scheduler does not set rates directly.  Each reallocation round it
 returns an :class:`AllocationRequest` describing *how* the network should
 divide bandwidth — plain max-min (PFS / TCP), strict priority queuing, or
 Gurita's WRR emulation — plus the per-flow priority classes.  The runtime
-hands the request to :func:`dispatch_allocation`.
+hands the request to the incremental engine
+(:meth:`~repro.simulator.bandwidth.engine.AllocationState.allocate`);
+:func:`dispatch_allocation` computes the same rates from scratch and is the
+reference the invariant checker audits the engine's rates against.
 """
 
 from __future__ import annotations
@@ -108,7 +111,11 @@ def dispatch_allocation(
     flow_routes: Mapping[int, Route],
     capacities: Sequence[float],
 ) -> Dict[int, float]:
-    """Compute per-flow rates for ``request`` over the given routes."""
+    """Compute per-flow rates for ``request`` over the given routes.
+
+    Builds every link membership from scratch: the engine audit's oracle,
+    not a simulation path.
+    """
     if request.mode is AllocationMode.MAXMIN:
         return allocate_maxmin(flow_routes, list(capacities))
     if request.mode is AllocationMode.SPQ:

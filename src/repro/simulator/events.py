@@ -9,7 +9,9 @@ The queue also enforces causality at the source: a **monotonic watermark**
 tracks the latest popped timestamp, and scheduling an event earlier than
 the watermark (beyond float time resolution) raises
 :class:`~repro.errors.SimulationError` immediately — at the buggy ``push``
-call site — instead of surfacing later as a backwards clock jump.
+call site — instead of surfacing later as a backwards clock jump.  Negative
+and non-finite timestamps are rejected the same way: a NaN would compare
+false against everything and silently break the heap's total order.
 
 Every float-time comparison — the push-side watermark guard *and* the
 batch-horizon test :meth:`EventQueue.has_event_within` — goes through the
@@ -18,17 +20,6 @@ lets same-instant events batch together is exactly the tolerance the
 watermark applies to late pushes (they used to disagree: raw ``<=`` on the
 horizon could split a same-timestamp batch straddling the watermark into
 two batches, each paying a reallocation).
-
-Two storage strategies implement the same total order:
-
-* :class:`EventQueue` — the classic binary heap; the default.
-* :class:`BucketEventQueue` — a calendar-style two-level structure that
-  buckets events sharing one exact timestamp (bursty arrivals, fault
-  timelines, same-instant completion batches) under a single heap entry;
-  selected via ``CoflowSimulation(..., event_queue="bucket")``.
-
-Both order events by ``(time, kind, seq)`` and are drop-in equivalent —
-the parity suite asserts bit-identical simulation results.
 """
 
 from __future__ import annotations
@@ -36,12 +27,11 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from bisect import insort
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.hotpath import hot_path
-from repro.simulator.timecmp import time_before, time_resolution, times_close
+from repro.simulator.timecmp import time_before, times_close
 from repro.simulator.units import Seconds
 
 
@@ -95,41 +85,16 @@ class Event:
         )
 
 
-class EventQueueBase:
-    """Shared watermark discipline and comparison tolerance.
-
-    Subclasses provide the storage (:meth:`_store`, :meth:`_take`,
-    :meth:`peek_time`); this base owns the causality guard, the blessed
-    float-time comparisons, and the size bookkeeping — so every variant
-    enforces exactly the same semantics.
-    """
+class EventQueue:
+    """Min-heap of events with deterministic total ordering."""
 
     def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int, Event]] = []
         #: Next sequence number; a plain int (not itertools.count) so the
         #: counter can be captured and restored by checkpoint snapshots.
         self._next_seq = 0
-        self._size = 0
         #: Latest popped timestamp; pushes may not schedule behind it.
         self._watermark = -math.inf
-
-    # -- storage hooks -------------------------------------------------
-    def _store(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _take(self) -> Event:
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[Seconds]:
-        """Timestamp of the earliest event, or None if empty."""
-        raise NotImplementedError
-
-    def _storage_state(self) -> Dict[str, Any]:
-        """Subclass storage payload for :meth:`snapshot_state`."""
-        raise NotImplementedError
-
-    def _restore_storage(self, state: Dict[str, Any]) -> None:
-        """Subclass inverse of :meth:`_storage_state`."""
-        raise NotImplementedError
 
     # -- checkpoint support --------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
@@ -140,29 +105,31 @@ class EventQueueBase:
         queue that pops the exact same ``(time, kind, seq)`` order —
         including the monotonic watermark and the sequence counter, so
         events scheduled *after* a restore continue the original
-        numbering bit-for-bit.
+        numbering bit-for-bit.  The ``variant``/``size``/``storage``
+        layout is the checkpoint format's (schema 1) queue payload.
         """
         return {
             "variant": type(self).__name__,
             "next_seq": self._next_seq,
-            "size": self._size,
+            "size": len(self._heap),
             "watermark": self._watermark,
-            "storage": self._storage_state(),
+            # A heap list is already a deterministic structure; copy it so
+            # later pushes on the live queue don't mutate the snapshot.
+            "storage": {"heap": list(self._heap)},
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot_state` (same concrete class only)."""
+        """Inverse of :meth:`snapshot_state`."""
         if state.get("variant") != type(self).__name__:
             raise SimulationError(
                 f"queue snapshot is for {state.get('variant')!r}, "
                 f"cannot restore into {type(self).__name__!r}"
             )
         self._next_seq = state["next_seq"]
-        self._size = state["size"]
         self._watermark = state["watermark"]
-        self._restore_storage(state["storage"])
+        self._heap = list(state["storage"]["heap"])
 
-    # -- shared semantics ----------------------------------------------
+    # -- queue operations ----------------------------------------------
     @hot_path
     def push(
         self,
@@ -173,12 +140,18 @@ class EventQueueBase:
     ) -> Event:
         """Schedule an event; returns the Event object.
 
-        Raises :class:`SimulationError` for negative timestamps and for
-        *past-time scheduling*: a timestamp behind the pop watermark by
-        more than float time resolution can never be processed causally.
+        Raises :class:`SimulationError` for negative or non-finite
+        timestamps and for *past-time scheduling*: a timestamp behind the
+        pop watermark by more than float time resolution can never be
+        processed causally.
         """
-        if time < 0:
-            raise SimulationError(f"cannot schedule event at negative time {time}")
+        # One chained comparison rejects negatives, NaN (every comparison
+        # with NaN is false) and +inf.
+        if not 0.0 <= time < math.inf:
+            kind_of_bad = "negative" if time < 0 else "non-finite"
+            raise SimulationError(
+                f"cannot schedule event at {kind_of_bad} time {time!r}"
+            )
         if time_before(time, self._watermark):
             raise SimulationError(
                 f"cannot schedule event at t={time!r} behind the pop "
@@ -187,20 +160,25 @@ class EventQueueBase:
         seq = self._next_seq
         self._next_seq = seq + 1
         event = Event(time=time, kind=kind, seq=seq, payload=payload, epoch=epoch)
-        self._store(event)
-        self._size += 1
+        heapq.heappush(self._heap, (time, int(kind), seq, event))
         return event
 
     @hot_path
     def pop(self) -> Event:
         """Remove and return the earliest event; advances the watermark."""
-        if self._size == 0:
+        if not self._heap:
             raise SimulationError("pop from empty event queue")
-        self._size -= 1
-        event = self._take()
+        event = heapq.heappop(self._heap)[3]
         if event.time > self._watermark:
             self._watermark = event.time
         return event
+
+    @hot_path
+    def peek_time(self) -> Optional[Seconds]:
+        """Timestamp of the earliest event, or None if empty."""
+        if not self._heap:
+            return None
+        return self._heap[0][0]
 
     @hot_path
     def has_event_within(self, horizon: Seconds) -> bool:
@@ -212,9 +190,9 @@ class EventQueueBase:
         to schedules straddling the watermark (raw ``<=`` here used to
         split such batches).
         """
-        next_time = self.peek_time()
-        if next_time is None:
+        if not self._heap:
             return False
+        next_time = self._heap[0][0]
         return next_time <= horizon or times_close(next_time, horizon)
 
     @property
@@ -223,129 +201,14 @@ class EventQueueBase:
         return self._watermark
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._heap)
 
 
-class EventQueue(EventQueueBase):
-    """Min-heap of events with deterministic total ordering (the default)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Tuple[float, int, int, Event]] = []
-
-    @hot_path
-    def _store(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.time, int(event.kind), event.seq, event))
-
-    @hot_path
-    def _take(self) -> Event:
-        return heapq.heappop(self._heap)[3]
-
-    @hot_path
-    def peek_time(self) -> Optional[Seconds]:
-        """Timestamp of the earliest event, or None if empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def _storage_state(self) -> Dict[str, Any]:
-        # A heap list is already a deterministic structure; copy it so
-        # later pushes on the live queue don't mutate the snapshot.
-        return {"heap": list(self._heap)}
-
-    def _restore_storage(self, state: Dict[str, Any]) -> None:
-        self._heap = list(state["heap"])
-
-
-class BucketEventQueue(EventQueueBase):
-    """Calendar-style queue bucketing events that share one timestamp.
-
-    Workloads with time-clustered batches — bursty arrivals dropping tens
-    of jobs on one instant, prescheduled fault timelines, same-epoch
-    completion bursts — put many events on *exactly* equal float
-    timestamps.  The binary heap pays ``O(log n)`` per event over the
-    whole backlog; here each distinct timestamp is one heap entry and its
-    events live in an insertion-sorted bucket, so same-instant batches
-    push and drain in near-constant time per event.
-
-    The total order is identical to :class:`EventQueue` — time first,
-    then ``(kind, seq)`` inside a bucket — which the differential parity
-    suite asserts end-to-end.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._times: List[float] = []  # heap of distinct timestamps
-        #: per-timestamp bucket: insertion-sorted (kind, seq, event) rows,
-        #: drained via a cursor instead of repeated list.pop(0)
-        self._buckets: Dict[float, List[Tuple[int, int, Event]]] = {}
-        self._cursors: Dict[float, int] = {}
-
-    @hot_path
-    def _store(self, event: Event) -> None:
-        bucket = self._buckets.get(event.time)
-        row = (int(event.kind), event.seq, event)
-        if bucket is None:
-            self._buckets[event.time] = [row]
-            self._cursors[event.time] = 0
-            heapq.heappush(self._times, event.time)
-        else:
-            # Keep (kind, seq) order among the *remaining* rows; rows
-            # before the cursor are already popped and stay untouched.
-            insort(bucket, row, lo=self._cursors[event.time])
-
-    @hot_path
-    def _take(self) -> Event:
-        time = self._times[0]
-        bucket = self._buckets[time]
-        cursor = self._cursors[time]
-        event = bucket[cursor][2]
-        cursor += 1
-        if cursor >= len(bucket):
-            heapq.heappop(self._times)
-            del self._buckets[time]
-            del self._cursors[time]
-        else:
-            self._cursors[time] = cursor
-        return event
-
-    @hot_path
-    def peek_time(self) -> Optional[Seconds]:
-        """Timestamp of the earliest event, or None if empty."""
-        if not self._times:
-            return None
-        return self._times[0]
-
-    def _storage_state(self) -> Dict[str, Any]:
-        # Shallow-copy each level: the timestamp heap, every bucket list,
-        # and the drain cursors.  Events themselves are shared (treated
-        # as immutable by the queue contract).
-        return {
-            "times": list(self._times),
-            "buckets": {time: list(rows) for time, rows in self._buckets.items()},
-            "cursors": dict(self._cursors),
-        }
-
-    def _restore_storage(self, state: Dict[str, Any]) -> None:
-        self._times = list(state["times"])
-        self._buckets = {time: list(rows) for time, rows in state["buckets"].items()}
-        self._cursors = dict(state["cursors"])
-
-
-#: Queue variants selectable by configuration; "heap" is the default.
-EVENT_QUEUE_VARIANTS = ("heap", "bucket")
-
-
-def make_event_queue(variant: str = "heap") -> EventQueueBase:
-    """Build an event queue by variant name ("heap" or "bucket")."""
-    if variant == "heap":
-        return EventQueue()
-    if variant == "bucket":
-        return BucketEventQueue()
-    raise SimulationError(
-        f"unknown event queue variant {variant!r}; "
-        f"expected one of {EVENT_QUEUE_VARIANTS}"
-    )
+#: The single queue under its former base-class name.  The benchmark
+#: suite's layer tracer (``benchmarks/suite/tracer.py``) and its self-test
+#: patch ``EventQueueBase.push``/``pop`` by this name, and that directory
+#: is the benchmark's fixed measuring harness.
+EventQueueBase = EventQueue

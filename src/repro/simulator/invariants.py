@@ -13,10 +13,15 @@ simulator-vs-theory gaps in coflow-scheduling evaluations:
   than the simulation clock (beyond float time resolution);
 * **cache coherence** — a sampled audit that rebuilds the incremental
   allocation engine's link memberships from scratch and diffs them against
-  the live :class:`~repro.simulator.bandwidth.engine.AllocationState`.
-  This is the race-detector analogue for the engine's delta-maintained
-  caches: a policy that opts into ``reports_priority_deltas`` but fails to
-  report a class change shows up here, not as a silently wrong JCT.
+  the live :class:`~repro.simulator.bandwidth.engine.AllocationState`,
+  then recomputes the allocation with the from-scratch allocator
+  (:func:`~repro.simulator.bandwidth.request.dispatch_allocation`) and
+  requires the engine's rates to equal it exactly.  This is the
+  race-detector analogue for the engine's delta-maintained caches: a
+  policy that opts into ``reports_priority_deltas`` but fails to report a
+  class change shows up here, not as a silently wrong JCT.  With
+  ``audit_interval=1`` every allocation is checked, so a clean run is
+  bit-identical to one that recomputed every allocation from scratch.
 
 The checker is **off by default** (zero hot-path cost).  Enable it per run
 with ``CoflowSimulation(..., check_invariants=True)`` or process-wide with
@@ -36,7 +41,11 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 from repro.errors import SimulationError
 from repro.jobs.flow import VOLUME_EPSILON, Flow
 from repro.simulator.bandwidth.engine import AllocationState
-from repro.simulator.bandwidth.request import AllocationMode, AllocationRequest
+from repro.simulator.bandwidth.request import (
+    AllocationMode,
+    AllocationRequest,
+    dispatch_allocation,
+)
 from repro.simulator.timecmp import time_resolution
 
 #: Environment variable that switches the checker on without code changes.
@@ -288,12 +297,18 @@ class InvariantChecker:
         request: AllocationRequest,
         now: float,
     ) -> None:
-        """Rebuild memberships from the runtime's ground truth and diff.
+        """Rebuild memberships and rates from the runtime's ground truth.
 
         ``flows`` is the runtime's active set *after* the allocation round,
-        i.e. the state the engine's caches claim to mirror.
+        i.e. the state the engine's caches claim to mirror.  Once the
+        membership and class layouts match, the engine's cached rates
+        (:attr:`~repro.simulator.bandwidth.engine.AllocationState.last_rates`)
+        must equal a from-scratch :func:`dispatch_allocation` of
+        ``request`` over the same routes and this checker's mirrored
+        capacities, compared with ``==``.
         """
         self._checks += 1
+        violations_before = self._counts[self.CACHE_COHERENCE]
         expected_routes = {flow.flow_id: flow.route for flow in flows}
         actual_routes = dict(engine.all_flows.routes)
         if actual_routes != expected_routes:
@@ -341,6 +356,34 @@ class InvariantChecker:
                 )
 
         self._audit_class_layout(engine, expected_routes, request, now)
+        if self._counts[self.CACHE_COHERENCE] == violations_before:
+            self._audit_rates(engine, expected_routes, request, now)
+
+    def _audit_rates(
+        self,
+        engine: AllocationState,
+        expected_routes: Mapping[int, Tuple[int, ...]],
+        request: AllocationRequest,
+        now: float,
+    ) -> None:
+        """Cached rates must equal a from-scratch allocation, bit for bit."""
+        expected = dispatch_allocation(request, expected_routes, self._caps)
+        actual = engine.last_rates
+        if actual == expected:
+            return
+        diverged = [
+            flow_id
+            for flow_id in sorted(set(expected) | set(actual))
+            if actual.get(flow_id) != expected.get(flow_id)
+        ]
+        first = diverged[0]
+        self._record(
+            self.CACHE_COHERENCE,
+            now,
+            f"engine rates diverged from a from-scratch allocation for "
+            f"{len(diverged)} flows (first: flow {first} engine "
+            f"{actual.get(first)!r} != rebuilt {expected.get(first)!r})",
+        )
 
     def _audit_class_layout(
         self,

@@ -77,13 +77,8 @@ class AllocationCounters:
 
 
 def allocation_counters(result: SimulationResult) -> AllocationCounters:
-    """Condense a result's engine statistics into one counter snapshot.
-
-    Works for legacy (engine-off) runs too — the engine-specific counters
-    read zero there, while ``epochs_skipped`` (a runtime-level feature)
-    stays meaningful.
-    """
-    stats = result.engine_stats if result.engine_stats is not None else EngineStats()
+    """Condense a result's engine statistics into one counter snapshot."""
+    stats = result.engine_stats
     return AllocationCounters(
         reallocations=result.reallocations,
         epochs_skipped=result.epochs_skipped,
@@ -287,10 +282,9 @@ class NetworkProbe:
     def bytes_by_class(self) -> Dict[int, float]:
         return dict(self.class_accounting.bytes_served)
 
-    def engine_stats(self) -> Optional[EngineStats]:
-        """Live incremental-engine counters (None when the engine is off)."""
-        engine = self.simulation.engine
-        return engine.stats if engine is not None else None
+    def engine_stats(self) -> EngineStats:
+        """Live incremental-engine counters."""
+        return self.simulation.engine.stats
 
     def invariant_report(self) -> Optional[InvariantReport]:
         """Live invariant-checker report (None when checking is off)."""

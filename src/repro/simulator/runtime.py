@@ -19,22 +19,16 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Union
 
-from repro.errors import NoPathError, SimulationError
+from repro.errors import CheckpointError, NoPathError, SimulationError
 from repro.jobs.coflow import Coflow
 from repro.jobs.flow import VOLUME_EPSILON, Flow, FlowState
 from repro.jobs.job import Job
 from repro.schedulers.context import SchedulerContext
 from repro.simulator.bandwidth.engine import AllocationState, EngineStats
-from repro.simulator.bandwidth.request import dispatch_allocation
-from repro.simulator.events import (
-    Event,
-    EventKind,
-    EventQueueBase,
-    make_event_queue,
-)
+from repro.simulator.events import Event, EventKind, EventQueue
 from repro.simulator.faults import (
     HR_DELAY,
     HR_DROP,
@@ -79,8 +73,8 @@ class SimulationResult:
     scheduler_name: str
     #: event batches whose dirty flag stayed clean (reallocation skipped)
     epochs_skipped: int = 0
-    #: incremental-engine counters (None when the engine was disabled)
-    engine_stats: Optional[EngineStats] = None
+    #: incremental-engine counters
+    engine_stats: EngineStats = field(default_factory=EngineStats)
     #: invariant-checker outcome (None when the checker was disabled)
     invariant_report: Optional[InvariantReport] = None
     #: fault-injection outcome (None when no fault profile was configured)
@@ -133,11 +127,9 @@ class CoflowSimulation:
         jobs: Sequence[Job],
         router: Optional[EcmpRouter] = None,
         max_events: int = DEFAULT_MAX_EVENTS,
-        use_engine: bool = True,
         check_invariants: Optional[bool] = None,
         strict_invariants: Optional[bool] = None,
         faults: Optional[FaultProfile] = None,
-        event_queue: str = "heap",
         checkpoint_every: Optional[float] = None,
         checkpoint_path: Union[str, "os.PathLike[str]", None] = None,
     ) -> None:
@@ -184,16 +176,12 @@ class CoflowSimulation:
         self.scheduler.bind(
             SchedulerContext(self.jobs, self.coflows, self._job_bytes)
         )
-        self._queue: EventQueueBase = make_event_queue(event_queue)
+        self._queue = EventQueue()
         self._capacities = self.topology.links.capacities()
         #: pristine capacity vector; repairs restore revoked links from it
         self._nominal_caps: List[float] = list(self._capacities)
-        #: persistent allocation state, fed add/remove/priority deltas;
-        #: ``use_engine=False`` selects the from-scratch legacy path (kept
-        #: for differential benchmarks and as a correctness oracle).
-        self.engine: Optional[AllocationState] = (
-            AllocationState(self._capacities) if use_engine else None
-        )
+        #: persistent allocation state, fed add/remove/priority deltas
+        self.engine = AllocationState(self._capacities)
         #: opt-in invariant checking (flag wins; env var is the default)
         env_enabled, env_strict = invariants_from_env()
         enabled = env_enabled if check_invariants is None else check_invariants
@@ -310,9 +298,7 @@ class CoflowSimulation:
             reallocations=self._reallocations,
             scheduler_name=self.scheduler.name,
             epochs_skipped=self._epochs_skipped,
-            engine_stats=(
-                self.engine.stats.snapshot() if self.engine is not None else None
-            ),
+            engine_stats=self.engine.stats.snapshot(),
             invariant_report=(
                 self.invariants.report() if self.invariants is not None else None
             ),
@@ -388,9 +374,7 @@ class CoflowSimulation:
                 "class": type(self.scheduler),
                 "state": self.scheduler.snapshot_state(),
             },
-            "engine": (
-                self.engine.snapshot_state() if self.engine is not None else None
-            ),
+            "engine": self.engine.snapshot_state(),
         }
 
     @classmethod
@@ -409,20 +393,23 @@ class CoflowSimulation:
         sim = cls.__new__(cls)
         for name, value in state["fields"].items():
             setattr(sim, name, value)
+        if state["engine"] is None:
+            # Schema-1 snapshots of engine-off runs have no engine to resume.
+            raise CheckpointError(
+                "snapshot carries no allocation engine state; it was "
+                "written by an engine-off run and cannot be resumed"
+            )
         queue_cls = state["queue"]["class"]
-        queue: EventQueueBase = queue_cls()
+        queue: EventQueue = queue_cls()
         queue.restore_state(state["queue"]["state"])
         sim._queue = queue
         scheduler_cls = state["scheduler"]["class"]
         scheduler = scheduler_cls.__new__(scheduler_cls)
         scheduler.restore_state(state["scheduler"]["state"])
         sim.scheduler = scheduler
-        if state["engine"] is None:
-            sim.engine = None
-        else:
-            engine = AllocationState.__new__(AllocationState)
-            engine.restore_state(state["engine"])
-            sim.engine = engine
+        engine = AllocationState.__new__(AllocationState)
+        engine.restore_state(state["engine"])
+        sim.engine = engine
         # Host-side attributes, recomputed rather than restored.
         sim._debug = _LOG.isEnabledFor(logging.DEBUG)
         sim._checkpoint_every = checkpoint_every
@@ -488,8 +475,7 @@ class CoflowSimulation:
             # Dirty flag stayed clean: the active set and every priority
             # are untouched, so the previous rate assignment still holds.
             self._epochs_skipped += 1
-            if self.engine is not None:
-                self.engine.stats.epochs_skipped += 1
+            self.engine.stats.epochs_skipped += 1
 
     @hot_path
     def _advance_to(self, time: float) -> None:
@@ -612,8 +598,7 @@ class CoflowSimulation:
                 self._park_flow(flow, in_active=False)  # simlint: hot-ok[fault path; parked flows leave the hot set]
                 continue
             self._active[flow.flow_id] = flow
-            if self.engine is not None:
-                self.engine.add_flow(flow.flow_id, flow.route)
+            self.engine.add_flow(flow.flow_id, flow.route)
         self.scheduler.on_coflow_release(coflow, self._now)
 
     # ------------------------------------------------------------------
@@ -700,9 +685,7 @@ class CoflowSimulation:
 
     def _set_link_capacity(self, link_id: int, capacity: float) -> None:
         """Propagate one link's revoked/restored capacity everywhere."""
-        self._capacities[link_id] = capacity  # legacy dispatch path
-        if self.engine is not None:
-            self.engine.set_capacity(link_id, capacity)
+        self.engine.set_capacity(link_id, capacity)
         if self.invariants is not None:
             self.invariants.note_capacity(link_id, capacity)
 
@@ -722,8 +705,7 @@ class CoflowSimulation:
                 self._park_flow(flow, in_active=True)
                 continue
             flow.route = new_route
-            if self.engine is not None:
-                self.engine.update_route(flow.flow_id, new_route)
+            self.engine.update_route(flow.flow_id, new_route)
             injector.stats.flows_rerouted += 1
             injector.stats.rerouted_bytes += flow.remaining_bytes
 
@@ -761,8 +743,7 @@ class CoflowSimulation:
         assert injector is not None
         if in_active:
             del self._active[flow.flow_id]
-            if self.engine is not None:
-                self.engine.remove_flow(flow.flow_id)
+            self.engine.remove_flow(flow.flow_id)
         flow.rate = 0.0
         self._parked[flow.flow_id] = flow
         self._parked_since[flow.flow_id] = self._now
@@ -786,12 +767,11 @@ class CoflowSimulation:
             flow.route = route
             del self._parked[flow_id]
             self._active[flow_id] = flow
-            if self.engine is not None:
-                self.engine.add_flow(flow_id, route)
-                # add_flow files the flow in the lowest class; make sure
-                # the next allocation re-files it under its true class
-                # even for policies that report precise priority deltas.
-                self._forced_priority_delta.add(flow_id)
+            self.engine.add_flow(flow_id, route)
+            # add_flow files the flow in the lowest class; make sure the
+            # next allocation re-files it under its true class even for
+            # policies that report precise priority deltas.
+            self._forced_priority_delta.add(flow_id)
             injector.stats.flows_recovered += 1
             injector.stats.recovery_seconds.append(
                 self._now - self._parked_since.pop(flow_id)
@@ -822,8 +802,7 @@ class CoflowSimulation:
         for flow in ripe:
             flow.finish(self._now)
             del self._active[flow.flow_id]
-            if self.engine is not None:
-                self.engine.remove_flow(flow.flow_id)
+            self.engine.remove_flow(flow.flow_id)
             self.scheduler.on_flow_finish(flow, self._now)
             coflow = self.coflows[flow.coflow_id]
             if coflow.maybe_complete(self._now):
@@ -854,17 +833,12 @@ class CoflowSimulation:
                     self._forced_priority_delta
                 )
             self._forced_priority_delta.clear()
-        if self.engine is not None:
-            rates = self.engine.allocate(request, priority_delta=priority_delta)
-        else:
-            flow_routes = {f.flow_id: f.route for f in active}
-            rates = dispatch_allocation(request, flow_routes, self._capacities)
+        rates = self.engine.allocate(request, priority_delta=priority_delta)
         if self.invariants is not None:
             self.invariants.check_allocation(active, rates, self._now)
-            if self.engine is not None:
-                self.invariants.maybe_audit_engine(
-                    self.engine, active, request, self._now
-                )
+            self.invariants.maybe_audit_engine(
+                self.engine, active, request, self._now
+            )
         next_completion: Optional[float] = None
         for flow in active:
             flow.priority = request.priorities.get(flow.flow_id, flow.priority)
@@ -893,15 +867,12 @@ def simulate(
     jobs: Sequence[Job],
     router: Optional[EcmpRouter] = None,
     until: Optional[float] = None,
-    use_engine: bool = True,
     faults: Optional[FaultProfile] = None,
-    event_queue: str = "heap",
     checkpoint_every: Optional[float] = None,
     checkpoint_path: Union[str, "os.PathLike[str]", None] = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`CoflowSimulation` and run it."""
     return CoflowSimulation(
-        topology, scheduler, jobs, router=router, use_engine=use_engine,
-        faults=faults, event_queue=event_queue,
+        topology, scheduler, jobs, router=router, faults=faults,
         checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
     ).run(until=until)

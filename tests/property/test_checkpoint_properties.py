@@ -3,11 +3,11 @@
 The checkpoint contract is *bit-identical continuation*: a component
 restored from ``snapshot_state()`` must behave exactly like the original
 from that point on.  These properties drive randomized histories through
-the two event-queue variants (including same-timestamp batches, which
-straddle the bucket queue's per-timestamp cursors) and the incremental
-allocation engine, snapshot mid-history via a real pickle round-trip,
-and require the restored object to reproduce the original's observable
-behaviour event-for-event and rate-for-rate.
+the event queue (including same-timestamp batches half-drained at the
+snapshot) and the incremental allocation engine, snapshot mid-history
+via a real pickle round-trip, and require the restored object to
+reproduce the original's observable behaviour event-for-event and
+rate-for-rate.
 """
 
 from __future__ import annotations
@@ -20,28 +20,22 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.simulator.bandwidth.engine import AllocationState
 from repro.simulator.bandwidth.request import AllocationMode, AllocationRequest
-from repro.simulator.events import (
-    BucketEventQueue,
-    EventKind,
-    EventQueue,
-    make_event_queue,
-)
+from repro.simulator.events import EventKind, EventQueue
 
-#: Coarse timestamp grid so draws collide on exact float timestamps —
-#: the bucket queue's batching (and its cursors) only engage on ties.
+#: Coarse timestamp grid so draws collide on exact float timestamps, where
+#: only ``(kind, seq)`` decides the order.
 TIME_GRID = [0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0, 1.5, 1.5, 2.0, 3.0]
 
 
 @st.composite
 def queue_histories(draw):
-    """(variant, ops) where ops interleave pushes and pops.
+    """Ops that interleave pushes and pops.
 
     Pushes respect the watermark by construction: each drawn timestamp
     is offset by the running maximum popped time, so histories never
     trip the causality guard and every draw is a valid history.
     """
-    variant = draw(st.sampled_from(["heap", "bucket"]))
-    ops = draw(
+    return draw(
         st.lists(
             st.tuples(
                 st.sampled_from(["push", "pop"]),
@@ -52,7 +46,6 @@ def queue_histories(draw):
             max_size=40,
         )
     )
-    return variant, ops
 
 
 def apply_ops(queue, ops, payload_prefix):
@@ -79,15 +72,14 @@ def drain(queue):
 class TestEventQueueRoundTrip:
     @given(queue_histories())
     @settings(max_examples=150, deadline=None)
-    def test_snapshot_restores_identical_drain_order(self, history):
+    def test_snapshot_restores_identical_drain_order(self, ops):
         """Snapshot mid-history; the restored queue drains identically."""
-        variant, ops = history
         split = len(ops) // 2
-        original = make_event_queue(variant)
+        original = EventQueue()
         apply_ops(original, ops[:split], "pre")
 
         snapshot = pickle.loads(pickle.dumps(original.snapshot_state()))
-        restored = make_event_queue(variant)
+        restored = EventQueue()
         restored.restore_state(snapshot)
 
         # Both queues then see the same tail of the history...
@@ -100,13 +92,12 @@ class TestEventQueueRoundTrip:
 
     @given(queue_histories())
     @settings(max_examples=100, deadline=None)
-    def test_sequence_counter_continues_after_restore(self, history):
+    def test_sequence_counter_continues_after_restore(self, ops):
         """Post-restore pushes continue the original seq numbering."""
-        variant, ops = history
-        original = make_event_queue(variant)
+        original = EventQueue()
         apply_ops(original, ops, "pre")
 
-        restored = make_event_queue(variant)
+        restored = EventQueue()
         restored.restore_state(
             pickle.loads(pickle.dumps(original.snapshot_state()))
         )
@@ -117,27 +108,29 @@ class TestEventQueueRoundTrip:
         )
 
     def test_same_timestamp_batch_straddling_snapshot(self):
-        """A half-drained bucket (cursor mid-batch) survives the round-trip."""
-        queue = BucketEventQueue()
+        """A half-drained same-timestamp batch survives the round-trip."""
+        queue = EventQueue()
         for _ in range(4):
             queue.push(1.0, EventKind.JOB_ARRIVAL)
         queue.push(2.0, EventKind.SCHEDULER_UPDATE)
-        queue.pop()  # cursor now points inside the t=1.0 bucket
+        queue.pop()  # two of the four t=1.0 events are now drained
         queue.pop()
 
-        restored = BucketEventQueue()
+        restored = EventQueue()
         restored.restore_state(pickle.loads(pickle.dumps(queue.snapshot_state())))
-        # Pushing back into the half-drained timestamp must slot behind
-        # the cursor exactly as it would on the original.
+        # Pushing back into the half-drained timestamp must slot among the
+        # remaining events exactly as it would on the original.
         queue.push(1.0, EventKind.FLOW_COMPLETION)
         restored.push(1.0, EventKind.FLOW_COMPLETION)
         assert drain(restored) == drain(queue)
 
     def test_variant_mismatch_is_rejected(self):
-        heap = EventQueue()
-        heap.push(1.0, EventKind.JOB_ARRIVAL)
-        with pytest.raises(SimulationError):
-            BucketEventQueue().restore_state(heap.snapshot_state())
+        """A payload naming another queue class is refused, not guessed at."""
+        queue = EventQueue()
+        queue.push(1.0, EventKind.JOB_ARRIVAL)
+        foreign = dict(queue.snapshot_state(), variant="CalendarQueue")
+        with pytest.raises(SimulationError, match="CalendarQueue"):
+            EventQueue().restore_state(foreign)
 
 
 @st.composite

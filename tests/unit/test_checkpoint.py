@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import pickle
 
 import pytest
 
-from repro.errors import CheckpointError
+import repro.simulator.events as events
+from repro.errors import CheckpointError, SimulationError
 from repro.experiments.common import ScenarioConfig, build_jobs, build_topology
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.checkpoint import (
@@ -15,6 +17,7 @@ from repro.simulator.checkpoint import (
     restore_simulation,
     write_checkpoint,
 )
+from repro.simulator.events import Event, EventKind, EventQueue
 from repro.simulator.runtime import CoflowSimulation
 
 
@@ -145,3 +148,85 @@ class TestRestore:
         state["scheduler"]["state"]["class"] = "SomethingElse"
         with pytest.raises(CheckpointError):
             make_scheduler("pfs").restore_state(state["scheduler"]["state"])
+
+
+class TestCompatibility:
+    """Schema-1 checkpoints written before the queue and allocation
+    options were removed: what still restores, and what fails cleanly."""
+
+    def test_heap_shape_queue_payload_restores(self):
+        """The schema-1 heap payload restores into the one queue."""
+        rows = [
+            (2.0, EventKind.FLOW_COMPLETION, 5),
+            (1.0, EventKind.SCHEDULER_UPDATE, 4),
+            (1.0, EventKind.JOB_ARRIVAL, 6),
+            (3.0, EventKind.JOB_ARRIVAL, 3),
+        ]
+        heap = []
+        for time, kind, seq in rows:
+            event = Event(time, kind, seq, payload=("row", seq))
+            heapq.heappush(heap, (time, int(kind), seq, event))
+        payload = {
+            "variant": "EventQueue",
+            "next_seq": 7,
+            "size": len(heap),
+            "watermark": 0.5,
+            "storage": {"heap": heap},
+        }
+        assert set(EventQueue().snapshot_state()) == set(payload)
+        assert set(EventQueue().snapshot_state()["storage"]) == {"heap"}
+
+        queue = EventQueue()
+        queue.restore_state(pickle.loads(pickle.dumps(payload)))
+        assert len(queue) == 4
+        assert queue.watermark == 0.5
+        with pytest.raises(SimulationError, match="behind the pop watermark"):
+            queue.push(0.25, EventKind.JOB_ARRIVAL)
+        assert queue.push(3.0, EventKind.FLOW_COMPLETION).seq == 7
+        drained = [(e.time, e.kind, e.seq, e.payload) for e in _drain(queue)]
+        assert drained == [
+            (1.0, EventKind.JOB_ARRIVAL, 6, ("row", 6)),
+            (1.0, EventKind.SCHEDULER_UPDATE, 4, ("row", 4)),
+            (2.0, EventKind.FLOW_COMPLETION, 5, ("row", 5)),
+            (3.0, EventKind.JOB_ARRIVAL, 3, ("row", 3)),
+            (3.0, EventKind.FLOW_COMPLETION, 7, None),
+        ]
+        assert queue.watermark == 3.0
+
+    def test_engine_off_snapshot_raises_checkpoint_error(self):
+        """A snapshot of an engine-off run carries ``engine: None``."""
+        sim = _small_sim()
+        sim.run(until=0.005)
+        state = sim.snapshot_state()
+        state["engine"] = None
+        with pytest.raises(CheckpointError, match="no allocation engine"):
+            CoflowSimulation.restore_state(state)
+
+    def test_bucket_queue_checkpoint_fails_to_decode(self, tmp_path, monkeypatch):
+        """A checkpoint that pickled the removed ``BucketEventQueue`` class
+        by reference fails through ``read_checkpoint``'s AttributeError
+        path, as a :class:`CheckpointError`."""
+
+        class BucketEventQueue(EventQueue):
+            pass
+
+        BucketEventQueue.__module__ = events.__name__
+        BucketEventQueue.__qualname__ = "BucketEventQueue"
+        monkeypatch.setattr(
+            events, "BucketEventQueue", BucketEventQueue, raising=False
+        )
+        sim = _small_sim()
+        sim.run(until=0.005)
+        sim._queue.__class__ = BucketEventQueue
+        path = tmp_path / "bucket.ckpt"
+        write_checkpoint(sim, path)
+        monkeypatch.delattr(events, "BucketEventQueue")
+
+        with pytest.raises(CheckpointError, match="does not decode") as info:
+            read_checkpoint(path)
+        assert isinstance(info.value.__cause__, AttributeError)
+
+
+def _drain(queue):
+    while queue:
+        yield queue.pop()

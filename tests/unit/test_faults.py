@@ -24,9 +24,6 @@ from repro.simulator.faults import (
     HostFault,
     HRDegradation,
     LinkFault,
-    RandomHostCrashes,
-    RandomLinkFlaps,
-    RandomSwitchFailures,
     SwitchFault,
     build_timeline,
     default_fault_horizon,

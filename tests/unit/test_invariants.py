@@ -7,6 +7,8 @@ clean end-to-end path on a real simulation.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -157,6 +159,26 @@ class TestEngineAudit:
         report = checker.report()
         assert report.counts[InvariantChecker.CACHE_COHERENCE] >= 1
         assert "priority change" in report.examples[0].message
+
+    @pytest.mark.parametrize(
+        "mode", [AllocationMode.MAXMIN, AllocationMode.SPQ, AllocationMode.WRR]
+    )
+    def test_cached_rate_mismatch_detected(self, mode):
+        """The audit's rate oracle: one wrong cached rate is a violation,
+        even when every membership and class row is coherent."""
+        flows = [make_flow(1, (0, 1)), make_flow(2, (1, 2))]
+        request = AllocationRequest(mode=mode, priorities={1: 0, 2: 1})
+        engine = self.build_engine(flows, request)
+        checker = make_checker()
+        checker.audit_engine(engine, flows, request, now=1.0)
+        assert checker.report().clean
+        # One ulp off: the audit compares with ==, not a tolerance.
+        engine.last_rates[2] = math.nextafter(engine.last_rates[2], math.inf)
+        checker.audit_engine(engine, flows, request, now=2.0)
+        report = checker.report()
+        assert report.counts[InvariantChecker.CACHE_COHERENCE] == 1
+        assert "rates diverged" in report.examples[0].message
+        assert "flow 2" in report.examples[0].message
 
     def test_maxmin_skips_class_audit(self):
         flows = [make_flow(1, (0, 1))]

@@ -6,11 +6,6 @@ can produce — zero-capacity (fault-revoked) links, capacities within
 must never leave negative residual capacity behind.  All near-zero
 comparisons go through the blessed helpers ``share_at_most`` /
 ``capacity_exhausted`` so the tolerance is defined in exactly one place.
-
-Both code paths are exercised: the incremental-share scalar loop (the
-default dispatch) and the vectorised CSR path (the ``widen``/vectorized
-variants flip ``_VECTOR_DISPATCH`` on so ``water_fill`` routes >=
-``_VECTOR_MIN_FLOWS`` flow sets through it).
 """
 
 from __future__ import annotations
@@ -18,10 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.simulator.bandwidth.maxmin as maxmin
 from repro.simulator.bandwidth.maxmin import (
     _EPSILON,
-    _VECTOR_MIN_FLOWS,
     LinkMembership,
     capacity_exhausted,
     share_at_most,
@@ -30,23 +23,21 @@ from repro.simulator.bandwidth.maxmin import (
 )
 
 
-@pytest.fixture
-def vector_dispatch(monkeypatch):
-    """Route large-enough fills through the vectorised CSR path."""
-    monkeypatch.setattr(maxmin, "_VECTOR_DISPATCH", True)
-
-
 def _membership(flow_routes, num_links):
     return LinkMembership.from_routes(flow_routes, num_links)
 
 
+#: Disjoint single-link flows :func:`_widen` pads a flow set with.
+_PADDING_FLOWS = 12
+
+
 def _widen(flow_routes, num_links, start=10_000):
-    """Pad a flow set past the vectorisation threshold with disjoint flows."""
+    """Pad a flow set with flows that each own one extra link."""
     widened = dict(flow_routes)
     extra_links = num_links
-    for i in range(_VECTOR_MIN_FLOWS):
+    for i in range(_PADDING_FLOWS):
         widened[start + i] = (extra_links + i,)
-    return widened, num_links + _VECTOR_MIN_FLOWS
+    return widened, num_links + _PADDING_FLOWS
 
 
 class TestBlessedHelpers:
@@ -67,11 +58,6 @@ class TestTermination:
         rates = water_fill({1: (0,), 2: (0,)}, [0.0])
         assert rates == {1: 0.0, 2: 0.0}
 
-    def test_zero_capacity_vectorized(self, vector_dispatch):
-        flows = {i: (0,) for i in range(_VECTOR_MIN_FLOWS + 3)}
-        rates = water_fill(flows, [0.0])
-        assert all(rate == 0.0 for rate in rates.values())
-
     def test_capacity_within_epsilon_of_zero_terminates(self):
         caps = [_EPSILON / 3, 5.0]
         rates = water_fill({1: (0, 1), 2: (1,)}, caps)
@@ -88,19 +74,12 @@ class TestTermination:
         rates = water_fill({1: (), 2: ()}, [4.0])
         assert rates == {1: 0.0, 2: 0.0}
 
-    def test_empty_routes_vectorized(self, vector_dispatch):
-        flows = {i: (0,) for i in range(_VECTOR_MIN_FLOWS)}
-        flows[999] = ()
-        rates = water_fill(flows, [6.0])
-        assert rates[999] == 0.0
-        assert sum(rates.values()) == pytest.approx(6.0)
-
     @pytest.mark.parametrize("widen", [False, True])
-    def test_mixed_zero_and_live_links(self, widen, request):
+    def test_mixed_zero_and_live_links(self, widen):
         flows = {1: (0,), 2: (0, 1), 3: (1,), 4: (2,)}
         num_links = 4
         if widen:
-            request.getfixturevalue("vector_dispatch")
+            # Flows on links of their own must not perturb the others.
             flows, num_links = _widen(flows, num_links)
         caps = [0.0, 6.0, 9.0] + [1.0] * (num_links - 3)
         rates = water_fill(flows, caps)
@@ -127,19 +106,13 @@ class TestDriftAudit:
         water_fill_membership(layer_two, residual)
         return residual
 
-    @pytest.mark.parametrize("num_flows", [6, 4 * _VECTOR_MIN_FLOWS])
-    def test_layered_fills_never_leave_negative_residual(
-        self, num_flows, request
-    ):
-        if num_flows >= _VECTOR_MIN_FLOWS:
-            request.getfixturevalue("vector_dispatch")
+    @pytest.mark.parametrize("num_flows", [6, 48])
+    def test_layered_fills_never_leave_negative_residual(self, num_flows):
         residual = self._layered_residual(num_flows)
         assert np.all(residual >= 0.0)
 
-    @pytest.mark.parametrize("num_flows", [7, 4 * _VECTOR_MIN_FLOWS])
-    def test_no_link_oversubscribed_beyond_epsilon(self, num_flows, request):
-        if num_flows >= _VECTOR_MIN_FLOWS:
-            request.getfixturevalue("vector_dispatch")
+    @pytest.mark.parametrize("num_flows", [7, 48])
+    def test_no_link_oversubscribed_beyond_epsilon(self, num_flows):
         num_links = 6
         flow_routes = {
             i: tuple(sorted({i % num_links, (i * 7 + 2) % num_links}))

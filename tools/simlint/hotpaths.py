@@ -25,7 +25,7 @@ Names are full dotted paths (``module.Class.method`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 
@@ -46,32 +46,27 @@ class HotPathRegistry:
         return frozenset(self.roots) | frozenset(self.closure)
 
 
-#: The shipped registry: the PR-6 hot set, traced from the profiling
-#: recipe in docs/performance.md (allocation epoch: drain events, decide,
-#: water-fill, advance flows).
+#: The shipped registry: what a default run reaches per event batch,
+#: traced from the profiling recipe in docs/performance.md (allocation
+#: epoch: drain events, decide, water-fill, advance flows).  The
+#: from-scratch allocators (``water_fill``, ``dispatch_allocation`` and
+#: the per-mode functions behind it) are not here: only the invariant
+#: checker's engine audit and the tests reach them.
 REGISTRY = HotPathRegistry(
     roots=(
         # Water-filling — the top profile entry.
-        "repro.simulator.bandwidth.maxmin.water_fill",
         "repro.simulator.bandwidth.maxmin.water_fill_membership",
-        "repro.simulator.bandwidth.maxmin._water_fill_scalar",
-        "repro.simulator.bandwidth.maxmin._water_fill_vectorized",
         # Incremental allocation engine epoch methods.
         "repro.simulator.bandwidth.engine.AllocationState.allocate",
         "repro.simulator.bandwidth.engine.AllocationState.add_flow",
         "repro.simulator.bandwidth.engine.AllocationState.remove_flow",
         "repro.simulator.bandwidth.engine.AllocationState.update_route",
         "repro.simulator.bandwidth.engine.AllocationState.set_capacity",
-        # Event queue (both variants): every event passes through here.
-        "repro.simulator.events.EventQueueBase.push",
-        "repro.simulator.events.EventQueueBase.pop",
-        "repro.simulator.events.EventQueueBase.has_event_within",
-        "repro.simulator.events.EventQueue._store",
-        "repro.simulator.events.EventQueue._take",
+        # Event queue: every event passes through here.
+        "repro.simulator.events.EventQueue.push",
+        "repro.simulator.events.EventQueue.pop",
         "repro.simulator.events.EventQueue.peek_time",
-        "repro.simulator.events.BucketEventQueue._store",
-        "repro.simulator.events.BucketEventQueue._take",
-        "repro.simulator.events.BucketEventQueue.peek_time",
+        "repro.simulator.events.EventQueue.has_event_within",
         # Memoized ECMP route decisions.
         "repro.simulator.routing.ecmp.EcmpRouter.route_flow",
         # The runtime event loop proper (run() is setup/teardown).
@@ -85,34 +80,24 @@ REGISTRY = HotPathRegistry(
         "repro.jobs.flow.Flow.advance",
     ),
     closure=(
-        # maxmin helpers reached from the fill loops.
+        # maxmin helpers reached from the fill loop and the engine.
         "repro.simulator.bandwidth.maxmin.share_at_most",
-        "repro.simulator.bandwidth.maxmin.allocate_maxmin",
         "repro.simulator.bandwidth.maxmin.LinkMembership.from_routes",
         "repro.simulator.bandwidth.maxmin.LinkMembership.add",
         "repro.simulator.bandwidth.maxmin.LinkMembership.remove",
-        "repro.simulator.bandwidth.maxmin.LinkMembership.csr",
-        # Priority-class allocators dispatched per epoch.
-        "repro.simulator.bandwidth.spq.group_by_class",
-        "repro.simulator.bandwidth.spq.allocate_spq",
+        # Priority-class allocators the engine dispatches per epoch.
         "repro.simulator.bandwidth.spq.allocate_spq_memberships",
         "repro.simulator.bandwidth.wrr.class_loads_from_counts",
         "repro.simulator.bandwidth.wrr.spq_waiting_times",
         "repro.simulator.bandwidth.wrr.wrr_weights",
-        "repro.simulator.bandwidth.wrr.allocate_wrr",
         "repro.simulator.bandwidth.wrr.allocate_wrr_memberships",
         "repro.simulator.bandwidth.request.AllocationRequest.params_key",
-        "repro.simulator.bandwidth.request.dispatch_allocation",
         # Engine internals behind the epoch methods.
         "repro.simulator.bandwidth.engine.AllocationState._unchanged_priorities",
         "repro.simulator.bandwidth.engine.AllocationState._effective_class",
         "repro.simulator.bandwidth.engine.AllocationState._rebuild_class_members",
         "repro.simulator.bandwidth.engine.AllocationState._apply_priority_deltas",
         "repro.simulator.bandwidth.engine.AllocationState._compute",
-        # Queue hooks on the base class (virtual dispatch targets).
-        "repro.simulator.events.EventQueueBase._store",
-        "repro.simulator.events.EventQueueBase._take",
-        "repro.simulator.events.EventQueueBase.peek_time",
         # Blessed time comparison helpers (called per event batch).
         "repro.simulator.timecmp.time_resolution",
         "repro.simulator.timecmp.times_close",

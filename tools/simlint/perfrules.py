@@ -78,9 +78,9 @@ PERF_RULES: Tuple[PerfRule, ...] = (
         description=(
             "Scalar item access on a numpy array inside a hot loop. "
             "Python-level numpy indexing is several times slower than "
-            "plain list indexing at hot-path sizes (the PR-6 "
-            "_VECTOR_DISPATCH calibration result) — use lists or hoist "
-            "with .tolist()."
+            "plain list indexing at hot-path sizes (measured on the "
+            "water-fill round loop, which is why that loop keeps its "
+            "round state in lists) — use lists or hoist with .tolist()."
         ),
     ),
     PerfRule(
