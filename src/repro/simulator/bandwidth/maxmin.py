@@ -5,11 +5,20 @@ limiter that behaves like TCP"): flows traversing a bottleneck link share it
 equally, and no flow can increase its rate without decreasing that of a flow
 with an equal or smaller rate (Bertsekas & Gallager's water-filling).
 
-This is the hot path of the whole simulator.  The round loop of
-:func:`water_fill_membership` maintains the per-link fair-share vector
-*incrementally*: the full vector is derived once per fill, then each
-round only finds its minimum, freezes the members of the bottleneck
-links, and recomputes the share at only the links those flows touched;
+This is the hot path of the whole simulator.  :func:`water_fill_membership`
+works on the *active* links only — the links at least one of its flows
+crosses, i.e. the keys of :attr:`LinkMembership.link_members`.  A link
+without members has share +inf and can never bottleneck, so a fill's
+work scales with the links its flows cross, not with the fabric (6,144
+directed links at k=16, about 166k at the paper's 48 pods).  The residual
+is read and written only at active links; every caller passes residuals
+>= 0 at the other links, so clamping just the active entries is exactly
+a whole-array clamp.
+
+The round loop maintains the active links' fair-share vector
+*incrementally*: it is derived once per fill, then each round only finds
+its minimum, freezes the members of the bottleneck links (in ascending
+link id), and recomputes the share at only the links those flows touched;
 a link's count hits zero the round it bottlenecks, so each member list
 is scanned at most once per fill.  Within one round every frozen flow
 subtracts the *same* bottleneck share from its links, so the produced
@@ -34,6 +43,7 @@ loop on sub-epsilon residuals.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -154,66 +164,81 @@ def water_fill_membership(
     """Max-min fair rates for ``membership`` within ``residual`` capacity.
 
     The core of :func:`water_fill`, operating on prebuilt membership
-    structures.  ``membership`` is *not* mutated (the per-link counts are
-    copied); ``residual`` *is* mutated — allocated bandwidth is subtracted
-    and tiny negative drift is clamped — so callers can layer allocations,
-    e.g. one priority class after another.
+    structures.  ``membership`` is *not* mutated (its per-link counts are
+    gathered into per-fill lists); ``residual`` *is* mutated — allocated
+    bandwidth is subtracted and tiny negative drift is clamped — so
+    callers can layer allocations, e.g. one priority class after another.
+
+    Only the *active* links — the keys of ``membership.link_members`` —
+    are read or written: a link without members has share +inf and can
+    never bottleneck, so the work of a fill scales with the links its
+    flows cross, not with ``num_links``.  The clamp therefore touches
+    active entries only; every caller passes ``residual >= 0`` elsewhere
+    (capacities, WRR budgets, or an earlier fill's clamped output), which
+    is why this is exactly the whole-array clamp.
     """
-    rates: Dict[int, BytesPerSec] = {}
     routes = membership.routes
-    if not routes:
-        return rates
-    shares = np.empty_like(residual)
-    num_buf = np.empty_like(residual)
-    mask_buf = np.empty(residual.size, dtype=bool)
-
-    # Initial share vector — same floats as the historical np.where
-    # formulation: divide only where counts > 0, +inf everywhere else.
-    # Subsequent rounds update *touched links only* with the identical
-    # scalar formula (max(residual, 0) / count), so every round sees
-    # exactly the share vector the full recompute would have produced.
-    shares.fill(np.inf)
-    np.maximum(residual, 0.0, out=num_buf)
-    np.greater(membership.counts, 0, out=mask_buf)
-    np.divide(num_buf, membership.counts, out=shares, where=mask_buf)
-
-    # Round state lives in plain python containers — scalar list indexing
-    # is several times cheaper than numpy item access at these sizes.
-    # ``residual`` is written back below (all float arithmetic is IEEE
-    # double either way — bit-identical).
     link_members = membership.link_members
-    res_l: List[float] = residual.tolist()
-    counts_l: List[int] = membership.counts.tolist()
+    if not link_members:
+        # Every route is empty: no link can rate-limit these flows.
+        return dict.fromkeys(routes, 0.0)
+    rates: Dict[int, BytesPerSec] = {}
+    # Per-fill state is indexed by position in ``links`` (first-member
+    # order); ``position`` maps a link id back to it.  Round state lives
+    # in plain lists — scalar list indexing is several times cheaper than
+    # numpy item access at these sizes.
+    links: List[int] = list(link_members)
+    active = np.fromiter(links, dtype=np.intp, count=len(links))
+    position: List[int] = [0] * membership.num_links
+    for pos, link_id in enumerate(links):
+        position[link_id] = pos
+    res_active = residual[active]
+    counts_active = membership.counts[active]
+
+    # Initial shares — the same floats as max(residual, 0) / count over
+    # the whole fabric, +inf where a link has no count left.  Later
+    # rounds refresh only the links a frozen flow crosses, with the
+    # identical scalar formula.
     inf = np.inf
+    mask_buf = np.greater(counts_active, 0)
+    shares = np.full(len(links), inf)
+    np.divide(
+        np.maximum(res_active, 0.0), counts_active, out=shares, where=mask_buf
+    )
+    res_l: List[float] = res_active.tolist()
+    counts_l: List[int] = counts_active.tolist()
 
     frozen: Dict[int, None] = {}
     remaining = len(routes)
     while remaining > 0:
         bottleneck_share = float(shares.min())
-        if not np.isfinite(bottleneck_share):
+        if not math.isfinite(bottleneck_share):
             # Remaining flows traverse no contended link (empty routes, or
             # inconsistent membership) — they cannot be rate-limited here.
             for flow_id in routes:
                 if flow_id not in frozen:
                     rates[flow_id] = 0.0
             break
-        bottleneck_links = (
+        # Freeze the tied links in ascending link id, as a scan of the
+        # whole fabric would: ``links`` is in first-member order, and the
+        # freeze order fixes the rates' key order.
+        tied = (
             share_at_most(shares, bottleneck_share, out=mask_buf)
             .nonzero()[0]
             .tolist()
         )
+        if len(tied) > 1:
+            tied.sort(key=links.__getitem__)
         # A link's count hits zero the round it bottlenecks, so each
         # link's member list is scanned at most once per fill — skipping
         # already-frozen members with a dict check beats maintaining
         # shrunken member copies.
         newly_frozen: List[int] = []  # simlint: ignore[SIM202] (per-round scratch, bounded by flows frozen this round)
-        for link_id in bottleneck_links:
-            members = link_members.get(link_id)
-            if members:
-                for flow_id in members:
-                    if flow_id not in frozen:
-                        frozen[flow_id] = None
-                        newly_frozen.append(flow_id)
+        for pos in tied:
+            for flow_id in link_members[links[pos]]:
+                if flow_id not in frozen:
+                    frozen[flow_id] = None
+                    newly_frozen.append(flow_id)
         if not newly_frozen:
             # Defensive: should be impossible, but never spin forever.
             for flow_id in routes:
@@ -222,25 +247,25 @@ def water_fill_membership(
             break
         for flow_id in newly_frozen:
             rates[flow_id] = bottleneck_share
-            route = routes[flow_id]
-            for link_id in route:
-                res_l[link_id] -= bottleneck_share
-                counts_l[link_id] -= 1
-            # Refresh the touched links' shares right away; a link shared
-            # with a later flow of this round just gets recomputed again,
-            # and only the final value is ever read (next round's min).
-            for link_id in route:
-                count = counts_l[link_id]
+            # Subtract and refresh in one pass: a route crosses each link
+            # once, and a link shared with a later flow of this round is
+            # just refreshed again (only next round's min reads shares).
+            for link_id in routes[flow_id]:
+                pos = position[link_id]
+                left = res_l[pos] - bottleneck_share
+                res_l[pos] = left
+                count = counts_l[pos] - 1
+                counts_l[pos] = count
                 if count > 0:
-                    left = res_l[link_id]
-                    shares[link_id] = (left if left > 0.0 else 0.0) / count
+                    shares[pos] = (left if left > 0.0 else 0.0) / count
                 else:
-                    shares[link_id] = inf
+                    shares[pos] = inf
         remaining -= len(newly_frozen)
-    residual[:] = res_l
 
-    # Clean up float drift: clamp tiny negative residuals to zero.
-    np.clip(residual, 0.0, None, out=residual)
+    # Write back the active entries, clamping tiny negative float drift.
+    res_active = np.array(res_l)
+    np.clip(res_active, 0.0, None, out=res_active)
+    residual[active] = res_active
     return rates
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import abc
 from typing import Tuple
 
+from repro.errors import TopologyError
 from repro.simulator.topology.links import LinkTable
 
 
@@ -52,14 +53,10 @@ class Topology(abc.ABC):
             if link.src_node.startswith("h") or link.dst_node.startswith("h")
         ]
         if not capacities:
-            from repro.errors import TopologyError
-
             raise TopologyError("topology has no host-attached links")
         return min(capacities)
 
     def validate_host(self, host: int) -> None:
-        from repro.errors import TopologyError
-
         if not 0 <= host < self.num_hosts:
             raise TopologyError(
                 f"host {host} out of range (num_hosts={self.num_hosts})"

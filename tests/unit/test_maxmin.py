@@ -135,11 +135,13 @@ class TestEdgeCases:
 
     def test_defensive_no_newly_frozen_branch(self):
         # Craft an inconsistent membership (counts claim a flow on link 0
-        # but the member table is empty) to drive the "should be
+        # but its member table is empty) to drive the "should be
         # impossible" spin guard: the survivors are frozen at the
-        # bottleneck share instead of looping forever.
+        # bottleneck share instead of looping forever.  Link 0 keeps an
+        # (empty) member entry so the fill still counts it as active.
         membership = LinkMembership(1)
         membership.routes[1] = (0,)
         membership.counts[0] = 1
+        membership.link_members[0] = {}
         rates = water_fill_membership(membership, np.array([6.0]))
         assert rates == {1: 6.0}
