@@ -17,10 +17,13 @@ Examples::
     python -m repro gap --run-dir runs/gap --run-budget 3600 --allow-partial
     python -m repro resume runs/gap
 
-``--parallel N`` fans independent scenario runs across N worker
-processes through :mod:`repro.experiments.parallel`; results are
-bit-identical to serial runs.  ``--cache-dir`` reuses completed units
-across invocations.
+Every grid-shaped subcommand (``scenario``, ``figure``, ``trials``,
+``chaos``, ``gap``) builds its family's work units from the flags, runs
+them through :func:`_execute` and prints the family report assembled
+from the resulting grid.  ``--parallel N`` fans the units across N
+worker processes (results are bit-identical to serial runs),
+``--cache-dir`` reuses completed units across invocations, and
+``--run-dir`` supervises the run (manifest, checkpoints, resume).
 """
 
 from __future__ import annotations
@@ -29,25 +32,31 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro.experiments.chaos import run_chaos
-from repro.experiments.common import ScenarioConfig, run_scenario
+from repro.experiments.chaos import ChaosReport, chaos_configs
+from repro.experiments.common import PAPER_SCHEDULERS, ScenarioConfig
 from repro.experiments.figures import (
     figure5_configs,
     figure6_config,
     figure7_config,
     figure8_config,
-    run_figure_configs,
+    figure_outcomes,
 )
-from repro.experiments.parallel import GridReport, ProgressEvent, WorkUnit
+from repro.experiments.parallel import (
+    GridReport,
+    ProgressEvent,
+    WorkUnit,
+    grid_of,
+    run_grid,
+)
 from repro.experiments.supervisor import (
     SupervisorReport,
     resume_run,
     run_supervised,
 )
-from repro.experiments.trials import TrialResult, run_trials
+from repro.experiments.trials import TrialResult, trial_units
 from repro.metrics.report import (
     format_category_table,
     format_degradation_table,
@@ -63,9 +72,8 @@ from repro.theory.gap import (
     GAP_FAMILIES,
     check_gap_golden,
     gap_report_from_grid,
-    gap_scenarios,
-    golden_harness_report,
-    run_gap,
+    gap_units,
+    golden_harness_units,
 )
 from repro.workloads.fbtrace import parse_trace, synthesize_trace, write_trace
 from repro.workloads.stats import format_trace_stats, trace_stats
@@ -82,26 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="library, schedulers, and topology info")
 
     scenario = sub.add_parser("scenario", help="run one scenario")
-    scenario.add_argument("--structure", default="fb-tao")
-    scenario.add_argument("--jobs", type=int, default=40)
-    scenario.add_argument(
-        "--arrival", default="uniform",
-        choices=["uniform", "poisson", "bursty", "simultaneous"],
-    )
-    scenario.add_argument("--seed", type=int, default=42)
-    scenario.add_argument("--load", type=float, default=1.5)
-    scenario.add_argument(
-        "--topology", default="fattree", choices=["fattree", "bigswitch"],
-    )
-    scenario.add_argument("--fattree-k", type=int, default=8)
+    _add_workload_flags(scenario, jobs=40)
     scenario.add_argument(
         "--hosts", type=int, default=0,
         help="host count for --topology bigswitch (0 = default 16)",
-    )
-    scenario.add_argument(
-        "--schedulers",
-        default="pfs,baraat,stream,aalo,gurita",
-        help="comma-separated policy names",
     )
     _add_fault_flags(scenario)
     _add_supervisor_flags(scenario)
@@ -119,21 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     trials = sub.add_parser(
         "trials", help="replay one scenario across seeds (mean ± std)"
     )
-    trials.add_argument("--structure", default="fb-tao")
-    trials.add_argument("--jobs", type=int, default=30)
-    trials.add_argument(
-        "--arrival", default="uniform",
-        choices=["uniform", "poisson", "bursty", "simultaneous"],
-    )
-    trials.add_argument("--load", type=float, default=1.5)
-    trials.add_argument("--fattree-k", type=int, default=8)
+    _add_workload_flags(trials, jobs=30, scenario_flags=False)
     trials.add_argument(
         "--seeds", default="1,2,3", help="comma-separated replicate seeds"
-    )
-    trials.add_argument(
-        "--schedulers",
-        default="pfs,baraat,stream,aalo,gurita",
-        help="comma-separated policy names",
     )
     trials.add_argument(
         "--gaps", action="store_true",
@@ -146,18 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="compare schedulers on a faulted vs perfect fabric"
     )
-    chaos.add_argument("--structure", default="fb-tao")
-    chaos.add_argument("--jobs", type=int, default=40)
-    chaos.add_argument(
-        "--arrival", default="uniform",
-        choices=["uniform", "poisson", "bursty", "simultaneous"],
-    )
-    chaos.add_argument("--seed", type=int, default=42)
-    chaos.add_argument("--load", type=float, default=1.5)
-    chaos.add_argument(
-        "--topology", default="fattree", choices=["fattree", "bigswitch"],
-    )
-    chaos.add_argument("--fattree-k", type=int, default=8)
+    _add_workload_flags(chaos, jobs=40)
     chaos.add_argument(
         "--profiles",
         default=",".join(CANNED_PROFILES),
@@ -171,11 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--fault-seed", type=int, default=0,
         help="pin the fault streams (0 = derive from the workload seed)",
-    )
-    chaos.add_argument(
-        "--schedulers",
-        default="pfs,baraat,stream,aalo,gurita",
-        help="comma-separated policy names",
     )
     _add_engine_flags(chaos)
 
@@ -242,6 +206,34 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--stats", metavar="PATH", help="summarise a trace file")
 
     return parser
+
+
+def _add_workload_flags(
+    sub: argparse.ArgumentParser, jobs: int, scenario_flags: bool = True
+) -> None:
+    """The scenario knobs shared by ``scenario``, ``trials`` and ``chaos``.
+
+    ``scenario_flags`` adds ``--seed`` and ``--topology``; ``trials``
+    takes its seeds from ``--seeds`` and always runs a FatTree.
+    """
+    sub.add_argument("--structure", default="fb-tao")
+    sub.add_argument("--jobs", type=int, default=jobs)
+    sub.add_argument(
+        "--arrival", default="uniform",
+        choices=["uniform", "poisson", "bursty", "simultaneous"],
+    )
+    sub.add_argument("--load", type=float, default=1.5)
+    if scenario_flags:
+        sub.add_argument("--seed", type=int, default=42)
+        sub.add_argument(
+            "--topology", default="fattree", choices=["fattree", "bigswitch"],
+        )
+    sub.add_argument("--fattree-k", type=int, default=8)
+    sub.add_argument(
+        "--schedulers",
+        default=",".join(PAPER_SCHEDULERS),
+        help="comma-separated policy names",
+    )
 
 
 def _add_fault_flags(sub: argparse.ArgumentParser) -> None:
@@ -313,7 +305,107 @@ def _print_progress(event: ProgressEvent) -> None:
     )
 
 
-def _engine_summary(report: GridReport) -> str:
+def _csv(text: str) -> Tuple[str, ...]:
+    """The non-empty items of a comma-separated flag value."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _scenario_config(
+    args: argparse.Namespace, name: str, **fields: Any
+) -> ScenarioConfig:
+    """The scenario the shared workload flags describe, plus ``fields``."""
+    return ScenarioConfig(
+        name=name,
+        structure=args.structure,
+        num_jobs=args.jobs,
+        arrival_mode=args.arrival,
+        offered_load=args.load,
+        fattree_k=args.fattree_k,
+        **fields,
+    )
+
+
+def _flag_conflict(args: argparse.Namespace) -> Optional[str]:
+    """Why the supervisor flags given cannot be combined, if they cannot."""
+    if not hasattr(args, "run_dir"):
+        return None
+    if not args.run_dir:
+        for flag, name in (
+            (args.checkpoint_every, "--checkpoint-every"),
+            (args.run_budget, "--run-budget"),
+            (args.resume or None, "--resume"),
+            (args.allow_partial or None, "--allow-partial"),
+        ):
+            if flag is not None:
+                return f"{name} requires --run-dir (the supervised run directory)"
+        return None
+    if getattr(args, "cache_dir", None):
+        return (
+            "--cache-dir cannot be combined with --run-dir: a supervised "
+            "run keeps its result cache under the run directory"
+        )
+    if getattr(args, "check", None):
+        return (
+            "--check replays a pinned harness and cannot be supervised; "
+            "drop --run-dir"
+        )
+    return None
+
+
+def _execute(
+    args: argparse.Namespace, units: Sequence[WorkUnit]
+) -> Optional[GridReport]:
+    """Run ``units`` the way ``args`` asks, then print the run summary.
+
+    Plain runs go through ``run_grid`` (``--parallel``, ``--cache-dir``);
+    ``--run-dir`` supervises them, and ``--resume`` or the ``resume``
+    subcommand replays the manifest's units instead of ``units``.
+    Returns the grid report, or None when some unit did not complete.
+    """
+    parallel = getattr(args, "parallel", 1)
+    progress = _print_progress if parallel > 1 else None
+    supervised: Optional[SupervisorReport] = None
+    if args.command == "resume" or getattr(args, "run_dir", None):
+        options: Dict[str, Any] = dict(
+            parallel=parallel,
+            checkpoint_every=args.checkpoint_every,
+            run_budget=args.run_budget,
+            allow_partial=args.allow_partial,
+            progress=progress,
+        )
+        if args.command == "resume":
+            supervised = resume_run(args.manifest, **options)
+        elif args.resume:
+            supervised = resume_run(args.run_dir, **options)
+        else:
+            supervised = run_supervised(units, args.run_dir, **options)
+        report = supervised.report
+    else:
+        report = run_grid(
+            units,
+            parallel=parallel,
+            cache_dir=getattr(args, "cache_dir", None),
+            progress=progress,
+        )
+    _print_summary(report, supervised)
+    return report if report.ok else None
+
+
+def _print_summary(
+    report: GridReport, supervised: Optional[SupervisorReport]
+) -> None:
+    """Engine counters, failed units and the JCT fingerprint of one run.
+
+    Supervised runs add their unit status counts and, when something is
+    left to do, the command that resumes them.
+    """
+    if supervised is not None:
+        summary = ", ".join(
+            f"{count} {status}"
+            for status, count in supervised.counts().items()
+            if count
+        )
+        print(f"supervised: {summary or 'nothing to do'}")
     stats = report.stats
     line = (
         f"engine: {stats.completed}/{stats.total_units} units, "
@@ -332,23 +424,24 @@ def _engine_summary(report: GridReport) -> str:
             f", {stats.elapsed_seconds:.1f}s elapsed, "
             f"utilization {stats.worker_utilization:.0%}"
         )
-    return line
-
-
-def _failure_lines(report: GridReport) -> List[str]:
-    """One diagnostic line per failed unit, with per-attempt wall times."""
-    lines = []
+    print(line)
     for failure in report.failures:
         times = (
             ", ".join(f"{s:.1f}s" for s in failure.attempt_seconds)
             if failure.attempt_seconds
             else "no attempt launched"
         )
-        lines.append(
+        print(
             f"  {failure.unit.describe()}: [{failure.kind}] "
             f"{failure.attempts} attempt(s) ({times}): {failure.error}"
         )
-    return lines
+    print(f"jct fingerprint: {_jct_fingerprint(report)}")
+    if (
+        supervised is not None
+        and supervised.manifest_path is not None
+        and supervised.resumable
+    ):
+        print(f"resume with: repro resume {supervised.manifest_path}")
 
 
 def _jct_fingerprint(report: GridReport) -> str:
@@ -370,64 +463,7 @@ def _jct_fingerprint(report: GridReport) -> str:
     return hashlib.blake2b(encoded.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def _run_supervised_cli(
-    args: argparse.Namespace, units: Sequence[WorkUnit]
-) -> SupervisorReport:
-    """Run (or resume) the supervised grid described by ``args``."""
-    parallel = getattr(args, "parallel", 1)
-    progress = _print_progress if parallel > 1 else None
-    if args.resume:
-        return resume_run(
-            args.run_dir,
-            parallel=parallel,
-            checkpoint_every=args.checkpoint_every,
-            run_budget=args.run_budget,
-            allow_partial=args.allow_partial,
-            progress=progress,
-        )
-    return run_supervised(
-        units,
-        args.run_dir,
-        checkpoint_every=args.checkpoint_every,
-        parallel=parallel,
-        run_budget=args.run_budget,
-        allow_partial=args.allow_partial,
-        progress=progress,
-    )
-
-
-def _print_supervised_summary(outcome: SupervisorReport) -> None:
-    counts = outcome.counts()
-    summary = ", ".join(
-        f"{counts[key]} {key}"
-        for key in ("completed", "resumed", "failed", "abandoned")
-        if counts.get(key)
-    )
-    print(f"supervised: {summary or 'nothing to do'}")
-    print(_engine_summary(outcome.report))
-    for line in _failure_lines(outcome.report):
-        print(line)
-    print(f"jct fingerprint: {_jct_fingerprint(outcome.report)}")
-    if outcome.manifest_path is not None and outcome.resumable:
-        print(f"resume with: repro resume {outcome.manifest_path}")
-
-
-def _reject_unsupervised_flags(args: argparse.Namespace) -> Optional[str]:
-    """Supervisor knobs only mean something under a --run-dir."""
-    if getattr(args, "run_dir", None):
-        return None
-    for flag, name in (
-        (args.checkpoint_every, "--checkpoint-every"),
-        (args.run_budget, "--run-budget"),
-        (args.resume or None, "--resume"),
-        (args.allow_partial or None, "--allow-partial"),
-    ):
-        if flag is not None:
-            return f"{name} requires --run-dir (the supervised run directory)"
-    return None
-
-
-def cmd_info() -> int:
+def cmd_info(args: argparse.Namespace) -> int:
     from repro.simulator.topology.fattree import FatTreeTopology
 
     print(f"repro {__version__} — Gurita (ICDCS 2019) reproduction")
@@ -442,37 +478,20 @@ def cmd_info() -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        name="cli",
-        structure=args.structure,
-        num_jobs=args.jobs,
-        arrival_mode=args.arrival,
+    config = _scenario_config(
+        args,
+        "cli",
         seed=args.seed,
-        offered_load=args.load,
         topology=args.topology,
-        fattree_k=args.fattree_k,
         num_hosts=args.hosts,
         fault_profile=args.fault_profile,
         fault_intensity=args.fault_intensity,
         fault_seed=args.fault_seed,
     )
-    schedulers = tuple(name.strip() for name in args.schedulers.split(","))
-    guard = _reject_unsupervised_flags(args)
-    if guard:
-        print(guard, file=sys.stderr)
-        return 2
-    if args.run_dir:
-        sup = _run_supervised_cli(
-            args, [WorkUnit(config=config, schedulers=schedulers)]
-        )
-        _print_supervised_summary(sup)
-        if not sup.ok:
-            return 1
-        first = sup.report.results[0]
-        assert first is not None
-        outcome = first
-    else:
-        outcome = run_scenario(config, schedulers=schedulers)
+    report = _execute(args, grid_of([config], schedulers=_csv(args.schedulers)))
+    if report is None:
+        return 1
+    outcome = report.scenario_results()[0]
     print(format_jct_table(outcome.average_jcts()))
     if args.fault_profile:
         print()
@@ -514,19 +533,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
         configs = [figure7_config(args.structure, num_jobs=args.jobs or 60)]
     else:
         configs = [figure8_config(args.structure, num_jobs=args.jobs or 70)]
-    progress = _print_progress if args.parallel > 1 else None
-    outcomes, report = run_figure_configs(
-        configs,
-        parallel=args.parallel,
-        cache_dir=args.cache_dir,
-        progress=progress,
-    )
+    report = _execute(args, grid_of(configs))
+    if report is None:
+        return 1
     records = {}
-    for config in configs:
-        outcome = outcomes[config.name]
-        records[config.name] = comparison_to_dict(outcome.results)
+    for name, outcome in figure_outcomes(report).items():
+        records[name] = comparison_to_dict(outcome.results)
         reference = "gurita" if "gurita" in outcome.results else None
-        print(f"== {config.name}")
+        print(f"== {name}")
         print(format_jct_table(outcome.average_jcts()))
         if reference and len(outcome.results) > 1:
             print(
@@ -536,7 +550,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 )
             )
         print()
-    print(_engine_summary(report))
     if args.out:
         path = save_json(records, args.out)
         print(f"wrote {path}")
@@ -544,50 +557,18 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_trials(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        name="cli-trials",
-        structure=args.structure,
-        num_jobs=args.jobs,
-        arrival_mode=args.arrival,
-        offered_load=args.load,
-        fattree_k=args.fattree_k,
+    seeds = tuple(int(seed) for seed in _csv(args.seeds))
+    units = trial_units(
+        _scenario_config(args, "cli-trials"), seeds, _csv(args.schedulers)
     )
-    seeds = tuple(int(seed.strip()) for seed in args.seeds.split(","))
-    schedulers = tuple(name.strip() for name in args.schedulers.split(","))
-    guard = _reject_unsupervised_flags(args)
-    if guard:
-        print(guard, file=sys.stderr)
-        return 2
-    if args.run_dir:
-        units = [
-            WorkUnit(config=config, seed=seed, schedulers=schedulers)
-            for seed in seeds
-        ]
-        sup = _run_supervised_cli(args, units)
-        _print_supervised_summary(sup)
-        if not sup.ok:
-            return 1
-        # A resume replays the manifest's units, so read seeds and
-        # schedulers back from the report rather than trusting the flags
-        # (kept out of the `seeds` variable: the report carries the
-        # cache salt's environment taint, and `seeds` feeds run_trials).
-        shown_seeds = tuple(unit.effective_seed for unit in sup.report.units)
-        shown_schedulers = sup.report.units[0].scheduler_names()
-        trial = TrialResult(
-            config=sup.report.units[0].config,
-            outcomes=sup.report.scenario_results(),
-            report=sup.report,
-        )
-    else:
-        trial = run_trials(
-            config,
-            seeds=seeds,
-            schedulers=schedulers,
-            parallel=args.parallel,
-            cache_dir=args.cache_dir,
-        )
-        shown_seeds = seeds
-        shown_schedulers = schedulers
+    report = _execute(args, units)
+    if report is None:
+        return 1
+    trial = TrialResult.from_grid(report)
+    # A resume replays the manifest's units, so the seeds and schedulers
+    # shown come from the report rather than the flags.
+    shown_seeds = [unit.effective_seed for unit in report.units]
+    shown_schedulers = report.units[0].scheduler_names()
     print(f"trials over seeds {', '.join(str(s) for s in shown_seeds)}:")
     print("avg JCT per policy (mean ± std):")
     for name, stats in sorted(trial.average_jct_stats().items()):
@@ -600,79 +581,63 @@ def cmd_trials(args: argparse.Namespace) -> int:
         print("mean optimality gap per policy (mean ± std, 1.00 = optimal):")
         for name, stats in sorted(trial.gap_stats().items()):
             print(f"  {name:>10}  {stats}")
-    if trial.report is not None and not args.run_dir:
-        print(_engine_summary(trial.report))
     return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        name="cli-chaos",
-        structure=args.structure,
-        num_jobs=args.jobs,
-        arrival_mode=args.arrival,
+    config = _scenario_config(
+        args,
+        "cli-chaos",
         seed=args.seed,
-        offered_load=args.load,
         topology=args.topology,
-        fattree_k=args.fattree_k,
-        schedulers=tuple(
-            name.strip() for name in args.schedulers.split(",")
-        ),
+        schedulers=_csv(args.schedulers),
     )
-    profiles = tuple(
-        name.strip() for name in args.profiles.split(",") if name.strip()
-    )
-    progress = _print_progress if args.parallel > 1 else None
-    report = run_chaos(
+    configs = chaos_configs(
         config,
-        profiles=profiles,
+        _csv(args.profiles),
         intensity=args.intensity,
         fault_seed=args.fault_seed,
-        parallel=args.parallel,
-        cache_dir=args.cache_dir,
-        progress=progress,
     )
+    grid = _execute(args, grid_of(configs))
+    if grid is None:
+        return 1
+    report = ChaosReport.from_grid(config, grid)
     print("baseline (perfect fabric):")
     print(format_jct_table(report.baseline.average_jcts()))
     print()
     print(
         format_degradation_table(
-            {profile: report.degradation(profile) for profile in profiles}
+            {profile: report.degradation(profile) for profile in report.profiles}
         )
     )
-    for profile in profiles:
+    for profile in report.profiles:
         print()
         print(f"fault handling under {profile!r}:")
         print(format_fault_table(report.fault_counters(profile)))
-    if report.grid is not None:
-        print()
-        print(_engine_summary(report.grid))
     return 0
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    progress = _print_progress if args.parallel > 1 else None
-    guard = _reject_unsupervised_flags(args)
-    if guard:
-        print(guard, file=sys.stderr)
-        return 2
-    if args.check and args.run_dir:
-        print(
-            "--check replays a pinned harness and cannot be supervised; "
-            "drop --run-dir",
-            file=sys.stderr,
+    golden = load_json(args.check) if args.check else None
+    if golden is not None:
+        units = golden_harness_units(golden)
+    else:
+        units = gap_units(
+            schedulers=(
+                None if args.schedulers.strip() == "all" else _csv(args.schedulers)
+            ),
+            num_jobs=args.jobs,
+            fattree_k=args.fattree_k,
+            seed=args.seed,
+            families=_csv(args.families),
         )
-        return 2
-    if args.check:
-        golden = load_json(args.check)
-        report = golden_harness_report(
-            golden,
-            parallel=args.parallel,
-            cache_dir=args.cache_dir,
-            progress=progress,
-        )
-        report.validate()
-        print(report.format_table())
+    grid = _execute(args, units)
+    if grid is None:
+        return 1
+    report = gap_report_from_grid(grid)
+    report.validate()
+    print(report.format_table())
+    if golden is not None:
         problems = check_gap_golden(report, golden)
         if problems:
             print(f"\ngap fingerprint diverged from {args.check}:", file=sys.stderr)
@@ -680,54 +645,13 @@ def cmd_gap(args: argparse.Namespace) -> int:
                 print(f"  {line}", file=sys.stderr)
             return 1
         print(f"\ngap fingerprint matches {args.check}: {report.fingerprint()}")
-        if report.grid is not None:
-            print(_engine_summary(report.grid))
         return 0
-    schedulers = (
-        None
-        if args.schedulers.strip() == "all"
-        else tuple(name.strip() for name in args.schedulers.split(","))
-    )
-    families = tuple(
-        name.strip() for name in args.families.split(",") if name.strip()
-    )
-    if args.run_dir:
-        names = (
-            tuple(available_schedulers()) if schedulers is None else schedulers
-        )
-        scenarios = gap_scenarios(
-            num_jobs=args.jobs,
-            fattree_k=args.fattree_k,
-            seed=args.seed,
-            families=families,
-        )
-        units = [WorkUnit(config=c, schedulers=names) for c in scenarios]
-        sup = _run_supervised_cli(args, units)
-        _print_supervised_summary(sup)
-        if not sup.ok:
-            return 1
-        report = gap_report_from_grid(sup.report)
-    else:
-        report = run_gap(
-            schedulers=schedulers,
-            num_jobs=args.jobs,
-            fattree_k=args.fattree_k,
-            seed=args.seed,
-            families=families,
-            parallel=args.parallel,
-            cache_dir=args.cache_dir,
-            progress=progress,
-        )
-    report.validate()
-    print(report.format_table())
     worst = report.worst_cell()
     print(
         f"\nworst cell: {worst.scheduler} on {worst.scenario} "
         f"(mean {worst.mean_gap:.3f}x, max {worst.max_gap:.3f}x)"
     )
     print(f"fingerprint: {report.fingerprint()}")
-    if report.grid is not None and not args.run_dir:
-        print(_engine_summary(report.grid))
     if args.out:
         path = save_json(report.to_golden(), args.out)
         print(f"wrote {path}")
@@ -735,16 +659,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    outcome = resume_run(
-        args.manifest,
-        parallel=args.parallel,
-        checkpoint_every=args.checkpoint_every,
-        run_budget=args.run_budget,
-        allow_partial=args.allow_partial,
-        progress=_print_progress if args.parallel > 1 else None,
-    )
-    _print_supervised_summary(outcome)
-    return 0 if outcome.ok else 1
+    return 0 if _execute(args, ()) is not None else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -765,25 +680,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 2
 
 
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "info": cmd_info,
+    "scenario": cmd_scenario,
+    "figure": cmd_figure,
+    "trials": cmd_trials,
+    "chaos": cmd_chaos,
+    "gap": cmd_gap,
+    "resume": cmd_resume,
+    "trace": cmd_trace,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return cmd_info()
-    if args.command == "scenario":
-        return cmd_scenario(args)
-    if args.command == "figure":
-        return cmd_figure(args)
-    if args.command == "trials":
-        return cmd_trials(args)
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "gap":
-        return cmd_gap(args)
-    if args.command == "resume":
-        return cmd_resume(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    conflict = _flag_conflict(args)
+    if conflict:
+        print(conflict, file=sys.stderr)
+        return 2
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

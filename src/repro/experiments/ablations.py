@@ -17,18 +17,15 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.core.config import GuritaConfig
 from repro.core.gurita import GuritaScheduler
-from repro.experiments.common import ScenarioConfig, build_jobs
-from repro.simulator.runtime import SimulationResult, simulate
-from repro.simulator.topology.fattree import FatTreeTopology
+from repro.experiments.common import ScenarioConfig, build_simulation
+from repro.simulator.runtime import SimulationResult
 
 
 def run_gurita_variant(
     scenario: ScenarioConfig, config: GuritaConfig
 ) -> SimulationResult:
-    """Run one Gurita configuration on the scenario's workload."""
-    topology = FatTreeTopology(k=scenario.fattree_k)
-    jobs = build_jobs(scenario, topology.num_hosts)
-    return simulate(topology, GuritaScheduler(config), jobs)
+    """Run one Gurita configuration on the scenario (fabric, workload, faults)."""
+    return build_simulation(scenario, GuritaScheduler(config)).run()
 
 
 def run_variants(

@@ -30,7 +30,7 @@ from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.experiments.parallel import (
     GridReport,
     ProgressHook,
-    WorkUnit,
+    grid_of,
     run_grid,
 )
 from repro.simulator.faults import CANNED_PROFILES
@@ -51,6 +51,20 @@ class ChaosReport:
     outcomes: Dict[str, ScenarioResult] = field(default_factory=dict)
     #: the grid engine's execution report (cache hits, retries, timing)
     grid: Optional[GridReport] = None
+
+    @classmethod
+    def from_grid(cls, config: ScenarioConfig, grid: GridReport) -> "ChaosReport":
+        """Assemble the report from a completed grid of :func:`chaos_configs`.
+
+        The baseline is the first unit; every later unit is one profile,
+        named by its config's ``fault_profile``.
+        """
+        results = grid.scenario_results()
+        profiles = tuple(unit.config.fault_profile for unit in grid.units[1:])
+        report = cls(config=config, profiles=profiles, grid=grid)
+        report.outcomes[BASELINE] = results[0]
+        report.outcomes.update(zip(profiles, results[1:]))
+        return report
 
     @property
     def baseline(self) -> ScenarioResult:
@@ -134,17 +148,10 @@ def run_chaos(
     the workload seed (the default coupling); pin a nonzero value to
     vary faults while holding the workload fixed.
     """
-    profiles = tuple(profiles)
     configs = chaos_configs(
         config, profiles, intensity=intensity, fault_seed=fault_seed
     )
-    units = [WorkUnit(config=c) for c in configs]
-    grid = run_grid(  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
-        units, parallel=parallel, cache_dir=cache_dir, progress=progress
+    grid = run_grid(
+        grid_of(configs), parallel=parallel, cache_dir=cache_dir, progress=progress
     )
-    results = grid.scenario_results()
-    report = ChaosReport(config=config, profiles=profiles, grid=grid)
-    report.outcomes[BASELINE] = results[0]
-    for profile, outcome in zip(profiles, results[1:]):
-        report.outcomes[profile] = outcome
-    return report
+    return ChaosReport.from_grid(config, grid)

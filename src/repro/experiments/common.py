@@ -9,7 +9,8 @@ so all policies see byte-identical workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
 from repro.jobs.job import Job
@@ -17,8 +18,9 @@ from repro.metrics.improvement import (
     overall_improvement,
     per_category_improvement,
 )
+from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.registry import make_scheduler
-from repro.simulator.runtime import SimulationResult, simulate
+from repro.simulator.runtime import CoflowSimulation, SimulationResult
 from repro.simulator.topology.base import Topology
 from repro.simulator.topology.bigswitch import BigSwitchTopology
 from repro.simulator.topology.fattree import FatTreeTopology
@@ -199,6 +201,32 @@ def build_fault_profile(config: ScenarioConfig) -> Optional["FaultProfile"]:
     )
 
 
+def build_simulation(
+    config: ScenarioConfig,
+    policy: Union[str, SchedulerPolicy],
+    checkpoint_every: Optional[float] = None,
+    checkpoint_path: Optional[Path] = None,
+) -> CoflowSimulation:
+    """The scenario's simulation under one policy, ready to ``run()``.
+
+    The one place a config becomes a simulation: fabric, workload and
+    fault profile all come from the config, so every caller (plain,
+    supervised, ablation) replays the same scenario.  ``policy`` is a
+    registry name or a ready-made policy instance (ablation variants).
+    """
+    topology = build_topology(config)
+    jobs = build_jobs(config, topology.num_hosts)
+    scheduler = make_scheduler(policy) if isinstance(policy, str) else policy
+    return CoflowSimulation(
+        topology,
+        scheduler,
+        jobs,
+        faults=build_fault_profile(config),
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+    )
+
+
 def run_scenario(
     config: ScenarioConfig,
     schedulers: Optional[Sequence[str]] = None,
@@ -207,12 +235,5 @@ def run_scenario(
     names: List[str] = list(schedulers if schedulers is not None else config.schedulers)
     outcome = ScenarioResult(config=config)
     for name in names:
-        topology = build_topology(config)
-        jobs = build_jobs(config, topology.num_hosts)
-        outcome.results[name] = simulate(
-            topology,
-            make_scheduler(name),
-            jobs,
-            faults=build_fault_profile(config),
-        )
+        outcome.results[name] = build_simulation(config, name).run()
     return outcome

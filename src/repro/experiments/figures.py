@@ -1,10 +1,11 @@
 """The paper's evaluation figures as runnable experiment definitions.
 
-Each ``figureN_*`` function returns the scenario configs (or runs them)
-for the corresponding paper artifact; the benchmark suite under
-``benchmarks/`` calls these and prints the same rows/series the paper
-reports.  Figure 2 and Figure 4 (the motivating examples) live in
-:mod:`repro.theory.examples` since they are analytic.
+Each ``figureN_*`` function returns the scenario configs for the
+corresponding paper artifact and :func:`run_figure_configs` runs them;
+the benchmark suite under ``benchmarks/`` calls these and prints the
+same rows/series the paper reports.  Figure 2 and Figure 4 (the
+motivating examples) live in :mod:`repro.theory.examples` since they
+are analytic.
 
 Scale note: the paper's trace has coflows from 150 racks replayed over an
 hour, and its bursty scenario uses a 48-pod FatTree with 10,000 jobs.  The
@@ -28,7 +29,7 @@ from repro.experiments.common import (
 from repro.experiments.parallel import (
     GridReport,
     ProgressHook,
-    WorkUnit,
+    grid_of,
     run_grid,
 )
 
@@ -55,6 +56,14 @@ def figure5_configs(num_jobs: int = 60, seed: int = 42) -> List[ScenarioConfig]:
     ]
 
 
+def figure_outcomes(grid: GridReport) -> Dict[str, ScenarioResult]:
+    """``{scenario name -> result}`` of a completed figure grid, in unit order."""
+    return {
+        unit.config.name: outcome
+        for unit, outcome in zip(grid.units, grid.scenario_results())
+    }
+
+
 def run_figure_configs(
     configs: Sequence[ScenarioConfig],
     parallel: int = 1,
@@ -66,28 +75,10 @@ def run_figure_configs(
     Returns ``({scenario name -> result}, engine report)`` with names in
     config order; ``parallel=1`` is the serial degenerate case.
     """
-    units = [WorkUnit(config=config) for config in configs]
-    report = run_grid(  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
-        units, parallel=parallel, cache_dir=cache_dir, progress=progress
+    report = run_grid(
+        grid_of(configs), parallel=parallel, cache_dir=cache_dir, progress=progress
     )
-    outcomes = report.scenario_results()
-    return (
-        {config.name: outcome for config, outcome in zip(configs, outcomes)},
-        report,
-    )
-
-
-def figure5_run(
-    num_jobs: int = 60,
-    seed: int = 42,
-    parallel: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> Dict[str, ScenarioResult]:
-    """Run Figure 5: {scenario name -> results per scheduler}."""
-    outcomes, _ = run_figure_configs(
-        figure5_configs(num_jobs, seed), parallel=parallel, cache_dir=cache_dir
-    )
-    return outcomes
+    return figure_outcomes(report), report
 
 
 def figure6_config(
@@ -157,9 +148,9 @@ __all__ = [
     "FIG5_SCENARIOS",
     "PAPER_SCHEDULERS",
     "figure5_configs",
-    "figure5_run",
     "figure6_config",
     "figure7_config",
     "figure8_config",
+    "figure_outcomes",
     "run_figure_configs",
 ]

@@ -39,9 +39,10 @@ in-flight units resubmitted) and the unit is recorded as a structured
 
 **Observability.**  Progress events stream through an injectable hook;
 completed units, cache hits, retries, and worker utilization are
-condensed into :class:`GridStats` and surfaced via
-:func:`repro.simulator.observability.parallel_counters` and the CLI's
-``--parallel`` / ``--cache-dir`` paths.
+condensed into :class:`GridStats`, whose :meth:`GridStats.counters`
+snapshot is the one counter surface (read by
+:func:`repro.simulator.observability.parallel_counters` and
+:func:`repro.metrics.serialize.grid_report_to_dict`).
 """
 
 from __future__ import annotations
@@ -404,6 +405,28 @@ class GridStats:
         if capacity <= 0.0:
             return 0.0
         return min(1.0, self.unit_seconds / capacity)
+
+    def counters(self) -> Dict[str, float]:
+        """The grid's counters as one flat, JSON-safe snapshot.
+
+        Keys are the field names.  Counts stay ints; the timings and
+        ``worker_utilization`` (the fraction of ``workers × elapsed``
+        wall time spent simulating) are floats.
+        """
+        return {
+            "total_units": self.total_units,
+            "completed": self.completed,
+            "cache_hits": self.cache_hits,
+            "retries": self.retries,
+            "failures": self.failures,
+            "workers": self.workers,
+            "cache_corrupt": self.cache_corrupt,
+            "worker_crashes": self.worker_crashes,
+            "abandoned": self.abandoned,
+            "unit_seconds": self.unit_seconds,
+            "elapsed_seconds": self.elapsed_seconds,
+            "worker_utilization": self.worker_utilization,
+        }
 
 
 @dataclass

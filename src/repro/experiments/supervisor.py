@@ -24,8 +24,8 @@ module supervises a grid so that neither happens:
 * **A structured status taxonomy.**  Instead of the all-or-nothing
   ``GridExecutionError``, every unit ends in exactly one state:
   ``completed`` (ran clean), ``resumed`` (completed after restoring
-  prior on-disk state), ``failed`` (exhausted retries — error, timeout,
-  or worker crash), or ``abandoned`` (the wall-clock ``run_budget``
+  prior on-disk state), ``failed`` (exhausted its retry — error or
+  worker crash), or ``abandoned`` (the wall-clock ``run_budget``
   expired first; its checkpoints persist for the next resume).  With
   ``allow_partial=False`` (the default) failures still raise; with
   ``True`` the report degrades gracefully.
@@ -56,9 +56,7 @@ from repro.errors import (
 from repro.experiments.common import (
     ScenarioConfig,
     ScenarioResult,
-    build_fault_profile,
-    build_jobs,
-    build_topology,
+    build_simulation,
 )
 from repro.experiments.parallel import (
     GridReport,
@@ -70,7 +68,6 @@ from repro.experiments.parallel import (
 from repro.experiments.parallel import (
     run_grid as _run_grid,
 )
-from repro.schedulers.registry import make_scheduler
 from repro.simulator.checkpoint import restore_simulation
 from repro.simulator.runtime import CoflowSimulation
 
@@ -256,14 +253,10 @@ def execute_supervised_unit(
             except (CheckpointError, SimulationError):
                 sim = None
         if sim is None:
-            topology = build_topology(config)
-            jobs = build_jobs(config, topology.num_hosts)
             ckpt.parent.mkdir(parents=True, exist_ok=True)
-            sim = CoflowSimulation(
-                topology,
-                make_scheduler(name),
-                jobs,
-                faults=build_fault_profile(config),
+            sim = build_simulation(
+                config,
+                name,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=ckpt if checkpoint_every is not None else None,
             )
@@ -349,9 +342,6 @@ def run_supervised(
     run_dir: Union[str, Path],
     checkpoint_every: Optional[float] = None,
     parallel: int = 1,
-    retries: int = 1,
-    backoff_base: float = 0.0,
-    unit_timeout: Optional[float] = None,
     run_budget: Optional[float] = None,
     allow_partial: bool = False,
     progress: Optional[ProgressHook] = None,
@@ -368,7 +358,8 @@ def run_supervised(
     continues instead of restarting (checkpoint-then-stop).  With
     ``allow_partial=False`` any ``failed``/``abandoned`` unit raises
     :class:`GridExecutionError` after the manifest is written; with
-    ``True`` the caller gets the full structured report.
+    ``True`` the caller gets the full structured report.  Units run with
+    :func:`repro.experiments.parallel.run_grid`'s default retry policy.
     """
     units = list(units)
     root = Path(run_dir)
@@ -403,9 +394,6 @@ def run_supervised(
         units,
         parallel=parallel,
         cache=cache,
-        retries=retries,
-        backoff_base=backoff_base,
-        unit_timeout=unit_timeout,
         run_unit=task,
         progress=progress,
         budget=run_budget,
@@ -425,19 +413,14 @@ def run_supervised(
                 if failure is not None and failure.kind == "budget"
                 else _STATUS_FAILED
             )
-    for record, status in zip(records, statuses):
-        record["status"] = status
-    manifest["stats"] = {
-        "completed": statuses.count(_STATUS_COMPLETED),
-        "resumed": statuses.count(_STATUS_RESUMED),
-        "failed": statuses.count(_STATUS_FAILED),
-        "abandoned": statuses.count(_STATUS_ABANDONED),
-    }
-    _write_json_atomic(manifest_path, manifest)
-
     outcome = SupervisorReport(
         report=report, statuses=statuses, manifest_path=manifest_path
     )
+    for record, status in zip(records, statuses):
+        record["status"] = status
+    manifest["stats"] = outcome.counts()
+    _write_json_atomic(manifest_path, manifest)
+
     if not allow_partial and not outcome.ok:
         summary = "; ".join(
             f"{failure.unit.describe()}: [{failure.kind}] {failure.error}"
@@ -454,9 +437,6 @@ def run_supervised(
 def resume_run(
     manifest_path: Union[str, Path],
     parallel: int = 1,
-    retries: int = 1,
-    backoff_base: float = 0.0,
-    unit_timeout: Optional[float] = None,
     run_budget: Optional[float] = None,
     allow_partial: bool = False,
     checkpoint_every: Optional[float] = None,
@@ -491,9 +471,6 @@ def resume_run(
         Path(manifest["_path"]).parent,
         checkpoint_every=checkpoint_every,
         parallel=parallel,
-        retries=retries,
-        backoff_base=backoff_base,
-        unit_timeout=unit_timeout,
         run_budget=run_budget,
         allow_partial=allow_partial,
         progress=progress,

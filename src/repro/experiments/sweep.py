@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.common import ScenarioConfig
-from repro.experiments.parallel import GridReport, WorkUnit, run_grid
+from repro.experiments.parallel import GridReport, grid_of, run_grid
 
 
 @dataclass
@@ -100,11 +100,8 @@ def _run_sweep(
     cache_dir: Optional[Union[str, Path]],
 ) -> SweepResult:
     """Fan one config per knob value across the grid engine."""
-    units = [
-        WorkUnit(config=config, schedulers=tuple(schedulers))
-        for config in configs
-    ]
-    report = run_grid(units, parallel=parallel, cache_dir=cache_dir)  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
+    units = grid_of(configs, schedulers=schedulers)
+    report = run_grid(units, parallel=parallel, cache_dir=cache_dir)
     points = [
         SweepPoint(value=float(value), average_jcts=outcome.average_jcts())
         for value, outcome in zip(values, report.scenario_results())

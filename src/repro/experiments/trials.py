@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.errors import ExperimentError
 from repro.experiments.common import ScenarioConfig, ScenarioResult
-from repro.experiments.parallel import GridReport, WorkUnit, run_grid
+from repro.experiments.parallel import GridReport, WorkUnit, grid_of, run_grid
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,19 @@ class TrialResult:
     outcomes: List[ScenarioResult]
     #: the engine report behind this trial (units, cache hits, timings)
     report: Optional[GridReport] = field(default=None, compare=False)
+
+    @classmethod
+    def from_grid(cls, grid: GridReport) -> "TrialResult":
+        """Assemble a trial from a completed grid of :func:`trial_units`.
+
+        The units carry the scenario, so this also reads grids run
+        elsewhere — e.g. a supervised or resumed run of the same units.
+        """
+        return cls(
+            config=grid.units[0].config,
+            outcomes=grid.scenario_results(),
+            report=grid,
+        )
 
     def improvement_stats(
         self, reference: str = "gurita"
@@ -91,6 +105,17 @@ class TrialResult:
         }
 
 
+def trial_units(
+    config: ScenarioConfig,
+    seeds: Sequence[int] = (1, 2, 3),
+    schedulers: Optional[Sequence[str]] = None,
+) -> List[WorkUnit]:
+    """One unit per replicate seed, in seed order (policies fixed)."""
+    if not seeds:
+        raise ExperimentError("trials need at least one seed")
+    return grid_of([config], seeds=seeds, schedulers=schedulers)
+
+
 def run_trials(
     config: ScenarioConfig,
     seeds: Sequence[int] = (1, 2, 3),
@@ -105,11 +130,7 @@ def run_trials(
     (``parallel=1``) run.  A failed seed raises
     :class:`repro.errors.GridExecutionError` after its retry.
     """
-    names = tuple(schedulers) if schedulers is not None else None
-    units = [
-        WorkUnit(config=config, seed=seed, schedulers=names) for seed in seeds
-    ]
-    report = run_grid(units, parallel=parallel, cache_dir=cache_dir)  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
-    return TrialResult(
-        config=config, outcomes=report.scenario_results(), report=report
+    units = trial_units(config, seeds, schedulers)
+    return TrialResult.from_grid(
+        run_grid(units, parallel=parallel, cache_dir=cache_dir)
     )

@@ -88,7 +88,6 @@ def grid_report_to_dict(report: "GridReport") -> Dict[str, Any]:
     units), the structured failures report, and the engine's counters —
     everything a resumed or audited grid needs.
     """
-    stats = report.stats
     return {
         "units": [unit.describe() for unit in report.units],
         "results": [
@@ -96,20 +95,7 @@ def grid_report_to_dict(report: "GridReport") -> Dict[str, Any]:
             for outcome in report.results
         ],
         "failures": [failure.to_dict() for failure in report.failures],
-        "stats": {
-            "total_units": stats.total_units,
-            "completed": stats.completed,
-            "cache_hits": stats.cache_hits,
-            "retries": stats.retries,
-            "failures": stats.failures,
-            "workers": stats.workers,
-            "cache_corrupt": stats.cache_corrupt,
-            "worker_crashes": stats.worker_crashes,
-            "abandoned": stats.abandoned,
-            "unit_seconds": stats.unit_seconds,
-            "elapsed_seconds": stats.elapsed_seconds,
-            "worker_utilization": stats.worker_utilization,
-        },
+        "stats": report.stats.counters(),
     }
 
 

@@ -91,26 +91,16 @@ def allocation_counters(result: SimulationResult) -> AllocationCounters:
 def parallel_counters(report: "GridReport") -> Dict[str, float]:
     """The parallel experiment engine's counters, as one flat snapshot.
 
-    Condenses a :class:`repro.experiments.parallel.GridReport` into the
-    same flat-dict shape the other counter surfaces use: units completed
-    vs total, cache hits, retries, failures, and how busy the worker
-    pool actually was (``worker_utilization`` is the fraction of
-    ``workers × elapsed`` wall time spent simulating).
+    Units completed vs total, cache hits, retries, failures, and how
+    busy the worker pool was: the
+    :meth:`repro.experiments.parallel.GridStats.counters` snapshot, with
+    the two unit counts named ``units_total`` / ``units_completed``.
     """
-    stats = report.stats
+    counters = report.stats.counters()
     return {
-        "units_total": float(stats.total_units),
-        "units_completed": float(stats.completed),
-        "cache_hits": float(stats.cache_hits),
-        "retries": float(stats.retries),
-        "failures": float(stats.failures),
-        "workers": float(stats.workers),
-        "cache_corrupt": float(stats.cache_corrupt),
-        "worker_crashes": float(stats.worker_crashes),
-        "abandoned": float(stats.abandoned),
-        "unit_seconds": stats.unit_seconds,
-        "elapsed_seconds": stats.elapsed_seconds,
-        "worker_utilization": stats.worker_utilization,
+        "units_total": counters.pop("total_units"),
+        "units_completed": counters.pop("completed"),
+        **counters,
     }
 
 

@@ -45,6 +45,7 @@ from repro.experiments.parallel import (
     GridReport,
     ProgressHook,
     WorkUnit,
+    grid_of,
     run_grid,
 )
 from repro.metrics.report import format_gap_table
@@ -284,6 +285,29 @@ class GapReport:
         }
 
 
+def gap_units(
+    scenarios: Optional[Sequence[ScenarioConfig]] = None,
+    schedulers: Optional[Sequence[str]] = None,
+    num_jobs: int = 12,
+    fattree_k: int = 4,
+    seed: int = 42,
+    families: Optional[Sequence[str]] = None,
+) -> List[WorkUnit]:
+    """The harness's work units: one per scenario, full scheduler set each.
+
+    ``scenarios`` defaults to :func:`gap_scenarios` of the remaining
+    arguments; ``schedulers`` defaults to the whole registry.
+    """
+    if scenarios is None:
+        scenarios = gap_scenarios(
+            num_jobs=num_jobs, fattree_k=fattree_k, seed=seed, families=families
+        )
+    names = tuple(
+        schedulers if schedulers is not None else available_schedulers()
+    )
+    return grid_of(scenarios, schedulers=names)
+
+
 def run_gap(
     scenarios: Optional[Sequence[ScenarioConfig]] = None,
     schedulers: Optional[Sequence[str]] = None,
@@ -302,19 +326,17 @@ def run_gap(
     ``cache_dir`` and — per the engine's determinism contract — produces
     a report whose fingerprint is bit-identical to the serial run.
     """
-    if scenarios is None:
-        scenarios = gap_scenarios(
-            num_jobs=num_jobs, fattree_k=fattree_k, seed=seed, families=families
-        )
-    scenarios = list(scenarios)
-    names = tuple(
-        schedulers if schedulers is not None else available_schedulers()
+    units = gap_units(
+        scenarios,
+        schedulers,
+        num_jobs=num_jobs,
+        fattree_k=fattree_k,
+        seed=seed,
+        families=families,
     )
-    units = [
-        WorkUnit(config=config, schedulers=names) for config in scenarios
-    ]
-    grid = run_grid(units, parallel=parallel, cache_dir=cache_dir, progress=progress)  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
-    return gap_report_from_grid(grid)
+    return gap_report_from_grid(
+        run_grid(units, parallel=parallel, cache_dir=cache_dir, progress=progress)
+    )
 
 
 def gap_report_from_grid(grid: "GridReport") -> GapReport:
@@ -375,6 +397,22 @@ def check_gap_golden(
     return problems
 
 
+def golden_harness_units(golden: Mapping[str, Any]) -> List[WorkUnit]:
+    """The harness units a golden artifact's embedded parameters describe."""
+    harness = golden.get("harness")
+    if not isinstance(harness, dict):
+        raise ExperimentError(
+            "golden artifact has no 'harness' parameter block"
+        )
+    return gap_units(
+        schedulers=tuple(harness["schedulers"]),
+        num_jobs=int(harness["num_jobs"]),
+        fattree_k=int(harness["fattree_k"]),
+        seed=int(harness["seed"]),
+        families=list(harness["families"]),
+    )
+
+
 def golden_harness_report(
     golden: Mapping[str, Any],
     parallel: int = 1,
@@ -382,21 +420,13 @@ def golden_harness_report(
     progress: Optional[ProgressHook] = None,
 ) -> GapReport:
     """Re-run the harness with a golden artifact's embedded parameters."""
-    harness = golden.get("harness")
-    if not isinstance(harness, dict):
-        raise ExperimentError(
-            "golden artifact has no 'harness' parameter block"
-        )
-    return run_gap(
-        schedulers=tuple(harness["schedulers"]),
-        num_jobs=int(harness["num_jobs"]),
-        fattree_k=int(harness["fattree_k"]),
-        seed=int(harness["seed"]),
-        families=list(harness["families"]),
+    grid = run_grid(
+        golden_harness_units(golden),
         parallel=parallel,
         cache_dir=cache_dir,
         progress=progress,
     )
+    return gap_report_from_grid(grid)
 
 
 __all__ = [
@@ -410,7 +440,9 @@ __all__ = [
     "gap_cell",
     "gap_report_from_grid",
     "gap_scenarios",
+    "gap_units",
     "golden_harness_report",
+    "golden_harness_units",
     "run_gap",
     "workload_lower_bounds",
 ]

@@ -90,3 +90,21 @@ class TestAblationHarness:
         ranked = summarize(results)
         assert len(ranked) == 2
         assert ranked[0][1] <= ranked[1][1]
+
+    def test_variant_honours_fabric_and_faults(self):
+        """A default-config variant replays the scenario exactly as
+        ``run_scenario`` does: same fabric, same fault timeline."""
+        scenario = ScenarioConfig(
+            num_jobs=4,
+            topology="bigswitch",
+            num_hosts=16,
+            fattree_k=4,
+            fault_profile="link-flap",
+        )
+        variant = run_gurita_variant(scenario, GuritaConfig())
+        reference = run_scenario(scenario, ("gurita",)).results["gurita"]
+        assert variant.fault_stats is not None
+        assert (
+            variant.job_completion_times()
+            == reference.job_completion_times()
+        )

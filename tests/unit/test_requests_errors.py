@@ -1,5 +1,7 @@
 """Unit tests for allocation requests, dispatch, and the error hierarchy."""
 
+import re
+
 import pytest
 
 from repro import errors
@@ -72,4 +74,6 @@ class TestCliFigure:
         assert code == 0
         printed = capsys.readouterr().out
         assert "fig8-fb-tao" in printed
+        # The run summary every grid-shaped subcommand prints.
+        assert re.search(r"^engine: 1/1 units, 1 worker\(s\)", printed, re.M)
         assert out_path.exists()
