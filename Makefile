@@ -106,8 +106,8 @@ chaos-smoke:
 		--schedulers pfs,gurita,sg-dag,lp-order
 
 ## What the resume-smoke CI job runs: SIGKILL a supervised run as soon
-## as durable state hits disk, resume it from the manifest, and fail
-## unless the resumed grid's JCT fingerprint is bit-identical to an
+## as a simulator checkpoint hits disk, resume it from the manifest, and
+## fail unless the resumed grid's JCT fingerprint is bit-identical to an
 ## uninterrupted run of the same units.
 resume-smoke:
 	$(PYTHON) benchmarks/resume_smoke.py

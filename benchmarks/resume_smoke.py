@@ -7,8 +7,9 @@ CLI (what the ``resume-smoke`` CI job runs):
 1. run a supervised trials grid uninterrupted and record its JCT
    fingerprint;
 2. launch the identical grid in a fresh run directory, SIGKILL the
-   process as soon as durable state (a checkpoint, partial, or cache
-   entry) appears on disk;
+   process as soon as a simulator checkpoint appears on disk (a partial
+   or cache entry alone does not count: the resume must restore a
+   checkpoint mid-simulation);
 3. ``repro resume`` the killed run's manifest;
 4. fail unless the resumed grid prints the exact fingerprint of the
    uninterrupted run.
@@ -70,12 +71,10 @@ def _fingerprint_of(output: str, label: str) -> str:
     return match.group(1)
 
 
-def _durable_state_exists(run_dir: Path) -> bool:
-    for sub in ("checkpoints", "partial", "cache"):
-        root = run_dir / sub
-        if root.is_dir() and any(root.iterdir()):
-            return True
-    return False
+def _checkpoint_exists(run_dir: Path) -> bool:
+    """A complete checkpoint is on disk (``*.ckpt.tmp`` is one mid-write)."""
+    root = run_dir / "checkpoints"
+    return root.is_dir() and any(root.glob("*.ckpt"))
 
 
 def main() -> int:
@@ -103,18 +102,18 @@ def main() -> int:
         deadline = time.monotonic() + 60.0
         killed = False
         while victim.poll() is None:
-            if _durable_state_exists(victim_dir):
+            if _checkpoint_exists(victim_dir):
                 os.kill(victim.pid, signal.SIGKILL)
                 killed = True
                 break
             if time.monotonic() > deadline:
                 victim.kill()
-                print("FAIL: victim produced no durable state within 60s")
+                print("FAIL: victim wrote no checkpoint within 60s")
                 return 1
             time.sleep(0.01)
         victim.wait(timeout=30.0)
         if killed:
-            print(f"   killed pid {victim.pid} with durable state on disk")
+            print(f"   killed pid {victim.pid} with a checkpoint on disk")
         else:
             print("   victim finished before the kill (machine too fast); "
                   "resume must then be pure cache hits")

@@ -28,14 +28,14 @@ corrupt or mismatched entry silently degrades to a miss and is
 rewritten.
 
 **Failure isolation.**  A unit that raises (or returns a payload that
-fails validation) is retried up to ``retries`` times, with optional
-exponential backoff between attempts; exhausted units land in the
-report's structured ``failures`` list — offending config, error,
-traceback, attempt count — without sinking sibling units.  A
-``unit_timeout`` additionally bounds each attempt's wall-clock time:
-hung workers are killed (the process pool is rebuilt and surviving
-in-flight units resubmitted) and the unit is recorded as a structured
-``UnitFailure(kind="timeout")`` instead of stalling the grid forever.
+fails validation) is retried up to ``retries`` times, each retry
+launched at once; exhausted units land in the report's structured
+``failures`` list — offending config, error, traceback, attempt count —
+without sinking sibling units.  A ``unit_timeout`` additionally bounds
+each attempt's wall-clock time: hung workers are killed (the process
+pool is rebuilt and surviving in-flight units resubmitted) and the unit
+is recorded as a structured ``UnitFailure(kind="timeout")`` instead of
+stalling the grid forever.
 
 **Observability.**  Progress events stream through an injectable hook;
 completed units, cache hits, retries, and worker utilization are
@@ -73,7 +73,7 @@ from typing import (
 from repro import __version__
 from repro.errors import ExperimentError, GridExecutionError
 from repro.experiments.common import ScenarioConfig, ScenarioResult, run_scenario
-from repro.experiments.timing import host_clock, host_sleep
+from repro.experiments.timing import host_clock
 
 #: Bump when the cached payload layout changes (a cheap salt component).
 CACHE_FORMAT = 1
@@ -523,44 +523,16 @@ def _make_executor(workers: int, use_threads: bool) -> Executor:
     return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
-#: Monkeypatchable sleep used for retry backoff (host wall-clock,
-#: concentrated in :mod:`repro.experiments.timing`; the engine's timings
-#: are reporting-only and never feed simulation state).
-_sleep = host_sleep
-
-#: Namespace for the deterministic retry-jitter stream (bump on change).
-_RETRY_JITTER_NAMESPACE = "repro.retry-jitter.v1"
-
-
-def retry_jitter(unit: WorkUnit, attempt: int) -> float:
-    """Deterministic backoff multiplier in ``[0.5, 1.5)`` for one retry.
-
-    A blake2b hash over the unit's identity seed and the attempt number —
-    a pure function of the unit, never of host state — so resubmitted
-    workers spread out instead of retrying in lockstep (the thundering
-    herd after a shared-resource hiccup), while the same grid replays
-    with an identical backoff schedule every time.  The stream only
-    shapes *when* a retry launches; results never depend on it.
-    """
-    digest = hashlib.blake2b(
-        f"{_RETRY_JITTER_NAMESPACE}|{unit.derived_seed}|{attempt}".encode("utf-8"),
-        digest_size=8,
-    ).digest()
-    return 0.5 + int.from_bytes(digest, "big") / 2.0**64
-
-
 def run_grid(
     units: Sequence[WorkUnit],
     parallel: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
     cache: Optional[ResultCache] = None,
     retries: int = 1,
-    backoff_base: float = 0.0,
     unit_timeout: Optional[float] = None,
     run_unit: Callable[[WorkUnit], ScenarioResult] = execute_unit,
     use_threads: bool = False,
     progress: Optional[ProgressHook] = None,
-    clock: Optional[Callable[[], float]] = None,
     budget: Optional[float] = None,
 ) -> GridReport:
     """Execute a grid of work units, fanned across ``parallel`` workers.
@@ -568,36 +540,29 @@ def run_grid(
     Results come back in submission order regardless of completion
     order.  ``cache_dir`` (or an explicit ``cache``) enables the on-disk
     result cache; ``retries`` bounds re-execution of failing units (the
-    default is exactly one retry) and ``backoff_base`` spaces the
-    attempts exponentially (the k-th retry waits ``backoff_base *
-    2**(k-1)`` seconds scaled by the unit's deterministic
-    :func:`retry_jitter`; 0 retries immediately); ``unit_timeout``
-    bounds each attempt's wall-clock seconds — an attempt that exceeds
-    it is recorded as a ``UnitFailure(kind="timeout")`` without
-    retrying, and with a process pool the hung workers are killed, the
-    pool rebuilt, and surviving in-flight units resubmitted (thread and
-    inline executors cannot be killed; their hung attempt is abandoned
-    and its eventual result discarded); a worker process that *dies*
-    mid-attempt (OOM kill, segfault) is detected, the pool rebuilt, and
-    every interrupted unit re-attempted against its retry allowance
-    (exhausted ones land as ``kind="crash"``); ``use_threads`` swaps the
-    process pool for threads (used by fault-injection tests to share
-    state with a custom ``run_unit``); ``clock`` injects the host clock
-    used for reporting-only timings; ``budget`` bounds the whole grid's
-    wall-clock seconds — at expiry, nothing new launches and every
-    pending unit is recorded as ``kind="budget"`` (``stats.abandoned``)
-    so a supervised run can checkpoint-then-stop instead of overrunning
-    its slot.
+    default is exactly one retry; each retry launches at once);
+    ``unit_timeout`` bounds each attempt's wall-clock seconds — an
+    attempt that exceeds it is recorded as a
+    ``UnitFailure(kind="timeout")`` without retrying, and with a process
+    pool the hung workers are killed, the pool rebuilt, and surviving
+    in-flight units resubmitted (thread and inline executors cannot be
+    killed; their hung attempt is abandoned and its eventual result
+    discarded); a worker process that *dies* mid-attempt (OOM kill,
+    segfault) is detected, the pool rebuilt, and every interrupted unit
+    re-attempted against its retry allowance (exhausted ones land as
+    ``kind="crash"``); ``use_threads`` swaps the process pool for threads
+    (used by fault-injection tests to share state with a custom
+    ``run_unit``); ``budget`` bounds the whole grid's wall-clock seconds
+    — at expiry, nothing new launches and every pending unit is recorded
+    as ``kind="budget"`` (``stats.abandoned``) so a supervised run can
+    checkpoint-then-stop instead of overrunning its slot.
     """
     units = list(units)
-    tick = clock if clock is not None else host_clock
-    started = tick()
+    started = host_clock()
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
     if retries < 0:
         raise ExperimentError(f"retries must be >= 0, got {retries}")
-    if backoff_base < 0:
-        raise ExperimentError(f"backoff_base must be >= 0, got {backoff_base}")
     if unit_timeout is not None and unit_timeout <= 0:
         raise ExperimentError(
             f"unit_timeout must be positive, got {unit_timeout}"
@@ -641,8 +606,6 @@ def run_grid(
         deadlines: Dict["Future[Tuple[ScenarioResult, float]]", float] = {}
         #: launch timestamp per in-flight attempt (attempt_seconds source)
         launched: Dict["Future[Tuple[ScenarioResult, float]]", float] = {}
-        #: backoff-delayed retries waiting to launch: (ready_time, index, attempt)
-        retry_queue: List[Tuple[float, int, int]] = []
         #: observed wall time of every attempt, per unit index
         attempt_log: Dict[int, List[float]] = {}
 
@@ -667,22 +630,14 @@ def run_grid(
                 notify("failed", index)
             else:
                 in_flight[future] = (index, attempt)
-                launched[future] = tick()
+                launched[future] = host_clock()
                 if unit_timeout is not None:
-                    deadlines[future] = tick() + unit_timeout
+                    deadlines[future] = host_clock() + unit_timeout
 
-        def schedule_retry(index: int, attempt: int) -> None:
+        def retry(index: int, attempt: int) -> None:
             stats.retries += 1
             notify("retry", index)
-            delay = backoff_base * 2.0 ** (attempt - 1) if backoff_base > 0 else 0.0
-            if delay > 0.0:
-                # Deterministic per-unit jitter keeps resubmissions from
-                # retrying in lockstep while staying replayable.
-                delay *= retry_jitter(units[index], attempt)
-            if delay <= 0.0:
-                submit(index, attempt=attempt + 1)
-            else:
-                retry_queue.append((tick() + delay, index, attempt + 1))
+            submit(index, attempt=attempt + 1)
 
         def drain_pool() -> List[Tuple[int, int]]:
             """Kill the pool's processes; returns the voided attempts.
@@ -693,7 +648,7 @@ def run_grid(
             the caller can resubmit uniformly.
             """
             nonlocal executor
-            now = tick()
+            now = host_clock()
             victims: List[Tuple[int, int]] = []
             for future, (vindex, vattempt) in in_flight.items():
                 victims.append((vindex, vattempt))
@@ -735,7 +690,7 @@ def run_grid(
             victims = sorted(set([(first_index, first_attempt)] + drain_pool()))
             for index, attempt in victims:
                 if attempt <= retries:
-                    schedule_retry(index, attempt)
+                    retry(index, attempt)
                 else:
                     failures.append(
                         UnitFailure(
@@ -756,11 +711,7 @@ def run_grid(
 
         def abandon_pending() -> None:
             """The run budget expired: record everything pending, stop."""
-            nonlocal retry_queue
-            pending = drain_pool()
-            pending += [(index, attempt - 1) for _, index, attempt in retry_queue]
-            retry_queue = []
-            for index, attempt in sorted(pending):
+            for index, attempt in drain_pool():
                 failures.append(
                     UnitFailure(
                         index=index,
@@ -783,36 +734,14 @@ def run_grid(
             for index in to_run:
                 submit(index, attempt=1)
 
-            while in_flight or retry_queue:
-                if budget_deadline is not None and tick() >= budget_deadline:
+            while in_flight:
+                if budget_deadline is not None and host_clock() >= budget_deadline:
                     abandon_pending()
                     break
-                # Launch every backoff-delayed retry whose time has come.
-                if retry_queue:
-                    now = tick()
-                    due = [r for r in retry_queue if r[0] <= now]
-                    retry_queue = [r for r in retry_queue if r[0] > now]
-                    for _, index, attempt in sorted(due):
-                        submit(index, attempt)
-                if not in_flight:
-                    if retry_queue:
-                        wake_at = min(r[0] for r in retry_queue)
-                        if budget_deadline is not None:
-                            wake_at = min(wake_at, budget_deadline)
-                        _sleep(max(0.0, wake_at - tick()))
-                    continue
-
                 wait_timeout: Optional[float] = None
-                now = tick()
+                now = host_clock()
                 if deadlines:
                     wait_timeout = max(0.0, min(deadlines.values()) - now)
-                if retry_queue:
-                    until_retry = max(0.0, min(r[0] for r in retry_queue) - now)
-                    wait_timeout = (
-                        until_retry
-                        if wait_timeout is None
-                        else min(wait_timeout, until_retry)
-                    )
                 if budget_deadline is not None:
                     until_budget = max(0.0, budget_deadline - now)
                     wait_timeout = (
@@ -830,7 +759,7 @@ def run_grid(
                         continue  # voided by a pool rebuild this sweep
                     index, attempt = in_flight.pop(future)
                     deadlines.pop(future, None)
-                    now = tick()
+                    now = host_clock()
                     elapsed = now - launched.pop(future, now)
                     try:
                         payload, seconds = future.result()
@@ -842,7 +771,7 @@ def run_grid(
                     except Exception as exc:  # raised in worker or validation
                         log_attempt(index, elapsed)
                         if attempt <= retries:
-                            schedule_retry(index, attempt)
+                            retry(index, attempt)
                         else:
                             failures.append(
                                 UnitFailure(
@@ -866,12 +795,12 @@ def run_grid(
                         stats.completed += 1
                         stats.unit_seconds += seconds
                         if cache is not None:
-                            cache.store(units[index], payload)
+                            cache.store(units[index], payload)  # simlint: ignore[SIM101] (the host clock only bounds how long wait() blocks; the payload is the worker's result)
                         notify("done", index)
 
                 # Timeout sweep: declare every overdue attempt hung.
                 if deadlines:
-                    now = tick()
+                    now = host_clock()
                     expired = sorted(
                         (in_flight[future], future)
                         for future, deadline in deadlines.items()
@@ -907,7 +836,7 @@ def run_grid(
     failures.sort(key=lambda f: f.index)
     if cache is not None:
         stats.cache_corrupt = cache.corrupt_entries - corrupt_before
-    stats.elapsed_seconds = tick() - started
+    stats.elapsed_seconds = host_clock() - started
     return GridReport(
         units=units, results=results, failures=failures, stats=stats
     )
@@ -941,7 +870,6 @@ __all__ = [
     "derive_unit_seed",
     "execute_unit",
     "grid_of",
-    "retry_jitter",
     "run_grid",
     "validate_unit_result",
 ]

@@ -47,12 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import (
-    CheckpointError,
-    GridExecutionError,
-    ManifestError,
-    SimulationError,
-)
+from repro.errors import CheckpointError, GridExecutionError, ManifestError
 from repro.experiments.common import (
     ScenarioConfig,
     ScenarioResult,
@@ -246,11 +241,12 @@ def execute_supervised_unit(
             # A torn checkpoint cannot exist (writes are atomic), but a
             # checkpoint from an older schema or a different code version
             # can; recovery from those is a fresh run, not a hard error.
+            # A bad cadence is the caller's error and still raises.
             try:
                 sim = restore_simulation(
                     ckpt, checkpoint_every=checkpoint_every, checkpoint_path=ckpt
                 )
-            except (CheckpointError, SimulationError):
+            except CheckpointError:
                 sim = None
         if sim is None:
             ckpt.parent.mkdir(parents=True, exist_ok=True)

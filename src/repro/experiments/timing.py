@@ -4,19 +4,18 @@ The simulator's determinism contract (enforced by simlint's SIM001) bans
 wall-clock reads anywhere scheduling or allocation decisions are made:
 simulated time must come from the event clock.  Measuring how long an
 *experiment* took on the host is a different thing — it feeds progress
-bars, worker-utilization reports, and cache speedup numbers, and never
-flows back into a simulation.
+bars, worker-utilization reports, per-unit timeouts, run budgets and
+cache speedup numbers, and never flows back into a simulation.
 
 All wall-clock access of the experiments package is concentrated here so
 the parallel engine itself (:mod:`repro.experiments.parallel`) stays free
 of SIM001/SIM002 hits even when linted under the simulator scope — the
-unit suite asserts exactly that.  The engine takes the clock as an
-injected callable, so tests substitute a fake clock for exact timings.
+unit suite asserts exactly that.
 """
 
 from __future__ import annotations
 
-from time import perf_counter, sleep
+from time import perf_counter
 
 
 def host_clock() -> float:
@@ -26,12 +25,3 @@ def host_clock() -> float:
     never be used as a simulation timestamp.
     """
     return perf_counter()
-
-
-def host_sleep(seconds: float) -> None:
-    """Block the calling thread for host-clock seconds (backoff only).
-
-    Used by the parallel engine to space retry attempts.  It delays when
-    host work starts — it never advances or reads simulated time.
-    """
-    sleep(seconds)

@@ -11,7 +11,7 @@ set DSCP bits and switches enforce them.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.jobs.coflow import Coflow
 from repro.jobs.flow import Flow
@@ -81,37 +81,6 @@ class SchedulerPolicy(abc.ABC):
         delta = frozenset(self._priority_delta)
         self._priority_delta.clear()
         return delta
-
-    # ------------------------------------------------------------------
-    # Checkpoint contract
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Capture the policy's complete mutable state for a checkpoint.
-
-        The default covers every policy in the tree: a shallow copy of
-        ``__dict__`` (policies keep all mutable state in instance
-        attributes — priority maps, virtual clocks, head-receiver
-        tables, the bound context).  The payload is pickled as part of
-        one simulator-wide object graph, so references into shared
-        runtime structures (the context's job/coflow/flow dicts) are
-        preserved as *references*, not copies.
-
-        Override only if the policy holds unpicklable state; the parity
-        suite asserts restore-then-run is bit-identical for every
-        registered scheduler.
-        """
-        return {"class": type(self).__name__, "attrs": dict(self.__dict__)}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot_state` (same concrete class only)."""
-        from repro.errors import CheckpointError
-
-        if state.get("class") != type(self).__name__:
-            raise CheckpointError(
-                f"scheduler snapshot is for {state.get('class')!r}, "
-                f"cannot restore into {type(self).__name__!r}"
-            )
-        self.__dict__.update(state["attrs"])
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (all optional)

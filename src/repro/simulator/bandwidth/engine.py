@@ -113,25 +113,6 @@ class AllocationState:
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Capture the complete engine state for a checkpoint.
-
-        Returns a shallow ``__dict__`` copy: the capacity vector, the
-        live memberships, class layout, priority map, cached rate
-        vector, and stats.  The payload is intended to be serialized
-        (pickled) immediately as part of one simulator-wide object
-        graph — the inner containers are shared with the live engine
-        until that happens, exactly like the scheduler contract.
-        """
-        return dict(self.__dict__)
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
     # Read-only views (consumed by the runtime invariant auditor)
     # ------------------------------------------------------------------
     @property

@@ -1,17 +1,15 @@
 """Versioned, fingerprinted checkpoints of a running simulation.
 
-A checkpoint captures the **complete** mutable state of a
-:class:`~repro.simulator.runtime.CoflowSimulation` mid-run — the event
-queue (either storage variant, including the monotonic watermark and
-the sequence counter), the incremental
-:class:`~repro.simulator.bandwidth.engine.AllocationState`, every
-job/coflow/flow progress record, the scheduler's state via the
-:meth:`~repro.schedulers.base.SchedulerPolicy.snapshot_state` contract,
-the ECMP router with its route caches and generation counter, the fault
+A checkpoint's body is the pickled
+:class:`~repro.simulator.runtime.CoflowSimulation` itself, taken mid-run:
+the event queue with its sequence counter and monotonic watermark, the
+incremental :class:`~repro.simulator.bandwidth.engine.AllocationState`,
+every job/coflow/flow progress record, the scheduler policy, the ECMP
+router with its route caches and generation counter, the fault
 injector's timeline position and degradation counters, and the
 deterministic stream offsets (the HR round index and event sequence
 numbers — fault streams themselves are stateless counter-indexed
-hashes, so those counters *are* the complete RNG position.)
+hashes, so those counters *are* the complete RNG position).
 
 The hard guarantee, enforced by the parity suite
 (``tests/integration/test_checkpoint_parity.py``): **restore → run to
@@ -21,27 +19,27 @@ same event counts, same engine counters.
 Serialization discipline
 ------------------------
 
-The snapshot payload is pickled **whole, in one pass, at a pinned
-protocol**.  One pass matters: pickle's memo preserves cross-component
-reference sharing, e.g. the fault injector's live downed-link set that
-the router aliases, and the scheduler context's views onto the job
-dicts — a restored graph has exactly the original aliasing without any
-manual rewiring.  What does *not* survive a checkpoint, by design:
-host-side instrumentation (observability probes monkeypatch bound
-methods onto the instance and are deliberately excluded from
-snapshots) and logger configuration (recomputed on restore).
+The simulation is pickled **whole, in one pass, at a pinned protocol**.
+One pass matters: pickle's memo preserves cross-component reference
+sharing, e.g. the fault injector's live downed-link set that the router
+aliases, and the scheduler context's views onto the job dicts — a
+restored graph has exactly the original aliasing without any manual
+rewiring.  ``CoflowSimulation.__getstate__`` leaves out host-side state
+only: the logger guard (recomputed on load), the checkpoint cadence
+(:func:`restore_simulation` applies the caller's), and observability
+probes patched onto the instance (a restored run has none).
 
 On-disk format (all one pickle stream)::
 
-    {"magic": "repro-checkpoint", "schema": 1,
-     "fingerprint": blake2b(body), "meta": {...}, "body": bytes}
+    {"magic": "repro-checkpoint", "schema": 2,
+     "fingerprint": blake2b(body), "simulated_time": float, "body": bytes}
 
-where ``body`` is the pickled snapshot payload.  Files are written
-atomically (temp file + ``os.replace``) so a crash mid-write leaves
-either the previous complete checkpoint or none — never a torn one.
-The fingerprint is an *integrity* check detecting truncation and
-corruption on read; any mismatch, schema skew, or unpicklable content
-raises :class:`~repro.errors.CheckpointError`.
+where ``body`` is the pickled simulation.  Files are written atomically
+(temp file + fsync + ``os.replace``) so a crash mid-write leaves either
+the previous complete checkpoint or none — never a torn one.  The
+fingerprint is an *integrity* check detecting truncation and corruption
+on read; any mismatch, schema skew, unpicklable content, or a body that
+is not a simulation raises :class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
@@ -62,9 +60,9 @@ __all__ = [
 ]
 
 #: Schema version of the on-disk checkpoint format.  Bump on any change
-#: to the snapshot payload structure; readers reject other versions
-#: rather than guessing.
-CHECKPOINT_SCHEMA = 1
+#: to the body's structure; readers reject other versions rather than
+#: guessing.  Schema 2 pickles the simulation itself.
+CHECKPOINT_SCHEMA = 2
 
 _MAGIC = "repro-checkpoint"
 
@@ -79,26 +77,16 @@ def _fingerprint(body: bytes) -> str:
 
 
 def write_checkpoint(
-    sim: CoflowSimulation,
-    path: Union[str, "os.PathLike[str]"],
-    meta: Optional[Dict[str, Any]] = None,
+    sim: CoflowSimulation, path: Union[str, "os.PathLike[str]"]
 ) -> str:
-    """Atomically write ``sim``'s state to ``path``; returns the fingerprint.
-
-    ``meta`` is an optional caller-owned dict stored verbatim in the
-    header (the supervisor records the unit fingerprint and scheduler
-    name there); it is *outside* the snapshot body but *inside* the
-    integrity envelope only by position — corrupting it is caught by
-    the unpickling step, not the body fingerprint.
-    """
-    body = pickle.dumps(sim.snapshot_state(), protocol=_PICKLE_PROTOCOL)
+    """Atomically write ``sim`` to ``path``; returns the body fingerprint."""
+    body = pickle.dumps(sim, protocol=_PICKLE_PROTOCOL)
     fingerprint = _fingerprint(body)
     payload = {
         "magic": _MAGIC,
         "schema": CHECKPOINT_SCHEMA,
         "fingerprint": fingerprint,
         "simulated_time": sim.now,
-        "meta": dict(meta) if meta else {},
         "body": body,
     }
     target = os.fspath(path)
@@ -115,12 +103,12 @@ def read_checkpoint(path: Union[str, "os.PathLike[str]"]) -> Dict[str, Any]:
     """Read and verify a checkpoint file; returns the header payload.
 
     The returned dict still carries the raw ``body`` bytes (verified
-    against the fingerprint) plus a decoded ``state`` entry ready for
-    :meth:`CoflowSimulation.restore_state`.  Raises
+    against the fingerprint) plus the decoded ``simulation``.  Raises
     :class:`CheckpointError` on any corruption, truncation, schema
-    mismatch, or fingerprint divergence; raises ``FileNotFoundError``
-    untouched so callers can distinguish "no checkpoint yet" from "a
-    checkpoint went bad".
+    mismatch, fingerprint divergence, or a body that is not a
+    :class:`CoflowSimulation`; raises ``FileNotFoundError`` untouched so
+    callers can distinguish "no checkpoint yet" from "a checkpoint went
+    bad".
     """
     target = os.fspath(path)
     try:
@@ -147,12 +135,18 @@ def read_checkpoint(path: Union[str, "os.PathLike[str]"]) -> Dict[str, Any]:
             "(truncated or corrupted)"
         )
     try:
-        payload["state"] = pickle.loads(body)
+        simulation = pickle.loads(body)
     except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
             IndexError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint {target} body does not decode: {exc}"
         ) from exc
+    if not isinstance(simulation, CoflowSimulation):
+        raise CheckpointError(
+            f"checkpoint {target} body is a {type(simulation).__name__}, "
+            "not a CoflowSimulation"
+        )
+    payload["simulation"] = simulation
     return payload
 
 
@@ -161,16 +155,14 @@ def restore_simulation(
     checkpoint_every: Optional[float] = None,
     checkpoint_path: Union[str, "os.PathLike[str]", None] = None,
 ) -> CoflowSimulation:
-    """Rebuild the simulation stored at ``path``, ready to ``run()``.
+    """Load the simulation stored at ``path``, ready to ``run()``.
 
     ``checkpoint_every``/``checkpoint_path`` configure the restored
     run's own checkpoint cadence (commonly the same path, so a resumed
-    run keeps advancing its checkpoint); left unset, the restored run
-    takes no further checkpoints.
+    run keeps advancing its checkpoint) and are validated exactly like
+    the :class:`CoflowSimulation` arguments of the same names; left
+    unset, the restored run takes no further checkpoints.
     """
-    payload = read_checkpoint(path)
-    return CoflowSimulation.restore_state(
-        payload["state"],
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
+    sim: CoflowSimulation = read_checkpoint(path)["simulation"]
+    sim._set_checkpoint_cadence(checkpoint_every, checkpoint_path)
+    return sim

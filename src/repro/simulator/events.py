@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.hotpath import hot_path
@@ -90,44 +90,12 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, int, Event]] = []
-        #: Next sequence number; a plain int (not itertools.count) so the
-        #: counter can be captured and restored by checkpoint snapshots.
+        #: Next sequence number; a plain int (not itertools.count, whose
+        #: pickling is deprecated) so a checkpointed queue continues the
+        #: original numbering.
         self._next_seq = 0
         #: Latest popped timestamp; pushes may not schedule behind it.
         self._watermark = -math.inf
-
-    # -- checkpoint support --------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Capture the complete queue state for a checkpoint.
-
-        The payload is picklable (plain containers + :class:`Event`
-        objects) and round-trips through :meth:`restore_state` to a
-        queue that pops the exact same ``(time, kind, seq)`` order —
-        including the monotonic watermark and the sequence counter, so
-        events scheduled *after* a restore continue the original
-        numbering bit-for-bit.  The ``variant``/``size``/``storage``
-        layout is the checkpoint format's (schema 1) queue payload.
-        """
-        return {
-            "variant": type(self).__name__,
-            "next_seq": self._next_seq,
-            "size": len(self._heap),
-            "watermark": self._watermark,
-            # A heap list is already a deterministic structure; copy it so
-            # later pushes on the live queue don't mutate the snapshot.
-            "storage": {"heap": list(self._heap)},
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        if state.get("variant") != type(self).__name__:
-            raise SimulationError(
-                f"queue snapshot is for {state.get('variant')!r}, "
-                f"cannot restore into {type(self).__name__!r}"
-            )
-        self._next_seq = state["next_seq"]
-        self._watermark = state["watermark"]
-        self._heap = list(state["storage"]["heap"])
 
     # -- queue operations ----------------------------------------------
     @hot_path

@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Union
 
-from repro.errors import CheckpointError, NoPathError, SimulationError
+from repro.errors import NoPathError, SimulationError
 from repro.jobs.coflow import Coflow
 from repro.jobs.flow import VOLUME_EPSILON, Flow, FlowState
 from repro.jobs.job import Job
@@ -135,14 +135,6 @@ class CoflowSimulation:
     ) -> None:
         if not jobs:
             raise SimulationError("simulation needs at least one job")
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise SimulationError(
-                f"checkpoint_every must be positive, got {checkpoint_every!r}"
-            )
-        if checkpoint_every is not None and checkpoint_path is None:
-            raise SimulationError(
-                "checkpoint_every requires a checkpoint_path to write to"
-            )
         self.topology = topology
         self.scheduler = scheduler
         self.router = router if router is not None else EcmpRouter(topology)
@@ -227,11 +219,7 @@ class CoflowSimulation:
         self._started = False
         #: checkpoint cadence (simulated seconds; None = checkpointing off,
         #: the default — a zero-checkpoint run takes none of these paths)
-        self._checkpoint_every = checkpoint_every
-        self._checkpoint_path = (
-            os.fspath(checkpoint_path) if checkpoint_path is not None else None
-        )
-        self._last_checkpoint_at = 0.0
+        self._set_checkpoint_cadence(checkpoint_every, checkpoint_path)
 
     # ------------------------------------------------------------------
     # Public API
@@ -316,108 +304,59 @@ class CoflowSimulation:
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    #: Every attribute captured verbatim by :meth:`snapshot_state`.
-    #: The queue, scheduler, and engine go through their own
-    #: ``snapshot_state`` contracts; ``_debug`` is recomputed on restore
-    #: (logger configuration is host state, not simulation state); the
-    #: checkpoint cadence settings are supplied fresh by the restore
-    #: call.  Enumerating fields explicitly — instead of ``__dict__`` —
-    #: also keeps observability probes (which monkeypatch bound methods
-    #: like ``_reallocate`` onto the instance) out of snapshots: probes
-    #: are host-side instrumentation and do not survive a checkpoint.
-    _SNAPSHOT_FIELDS = (
-        "topology",
-        "router",
-        "max_events",
-        "jobs",
-        "coflows",
-        "flows",
-        "_job_bytes",
-        "_job_of_flow",
-        "_capacities",
-        "_nominal_caps",
-        "invariants",
-        "_active",
-        "_now",
-        "_epoch",
-        "_events_processed",
-        "_reallocations",
-        "_epochs_skipped",
-        "_incomplete_jobs",
-        "_update_scheduled",
-        "fault_injector",
-        "_parked",
-        "_parked_since",
-        "_hr_round",
-        "_forced_priority_delta",
-        "_started",
+    #: Host-side attributes a checkpoint leaves out: the logger guard is
+    #: recomputed on load, and the cadence is host policy that
+    #: :func:`~repro.simulator.checkpoint.restore_simulation` applies.
+    _HOST_STATE = frozenset(
+        ("_debug", "_checkpoint_every", "_checkpoint_path", "_last_checkpoint_at")
     )
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Capture the complete simulation state for a checkpoint.
+    def __getstate__(self) -> Dict[str, Any]:
+        """Everything but host-side state, for a checkpoint's pickle.
 
-        The returned payload is meant to be pickled **whole, in one
-        pass** (see :mod:`repro.simulator.checkpoint`): cross-component
-        reference sharing — the fault injector's live downed-link set
-        aliased by the router, the scheduler context's views onto the
-        job/coflow/progress dicts — is preserved by pickle's memo, so a
-        restored simulation has exactly the original aliasing without
-        any manual rewiring.
+        The simulation is pickled whole, in one pass (see
+        :mod:`repro.simulator.checkpoint`), so state added to it later is
+        checkpointed without being registered anywhere.  Besides
+        :attr:`_HOST_STATE`, instance attributes that shadow a method are
+        left out: they are observability probes patched onto the
+        instance (``NetworkProbe`` wraps ``_reallocate``), and a restored
+        simulation runs without them.
         """
+        cls = type(self)
         return {
-            "fields": {name: getattr(self, name) for name in self._SNAPSHOT_FIELDS},
-            "queue": {
-                "class": type(self._queue),
-                "state": self._queue.snapshot_state(),
-            },
-            "scheduler": {
-                "class": type(self.scheduler),
-                "state": self.scheduler.snapshot_state(),
-            },
-            "engine": self.engine.snapshot_state(),
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in self._HOST_STATE
+            and not callable(getattr(cls, name, None))
         }
 
-    @classmethod
-    def restore_state(
-        cls,
-        state: Dict[str, Any],
-        checkpoint_every: Optional[float] = None,
-        checkpoint_path: Union[str, "os.PathLike[str]", None] = None,
-    ) -> "CoflowSimulation":
-        """Rebuild a mid-run simulation from a :meth:`snapshot_state` payload.
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._debug = _LOG.isEnabledFor(logging.DEBUG)
+        self._set_checkpoint_cadence(None, None)
 
-        ``checkpoint_every``/``checkpoint_path`` configure the restored
-        run's *own* cadence (they are host policy, not snapshot state);
-        leave them unset to resume without further checkpointing.
+    def _set_checkpoint_cadence(
+        self,
+        every: Optional[float],
+        path: Union[str, "os.PathLike[str]", None],
+    ) -> None:
+        """Checkpoint every ``every`` simulated seconds to ``path``.
+
+        ``every=None`` turns checkpointing off.  The construction and
+        restore paths both come through here, so both reject a
+        non-positive cadence and a cadence without a path.
         """
-        sim = cls.__new__(cls)
-        for name, value in state["fields"].items():
-            setattr(sim, name, value)
-        if state["engine"] is None:
-            # Schema-1 snapshots of engine-off runs have no engine to resume.
-            raise CheckpointError(
-                "snapshot carries no allocation engine state; it was "
-                "written by an engine-off run and cannot be resumed"
+        if every is not None and not every > 0:
+            raise SimulationError(
+                f"checkpoint_every must be positive, got {every!r}"
             )
-        queue_cls = state["queue"]["class"]
-        queue: EventQueue = queue_cls()
-        queue.restore_state(state["queue"]["state"])
-        sim._queue = queue
-        scheduler_cls = state["scheduler"]["class"]
-        scheduler = scheduler_cls.__new__(scheduler_cls)
-        scheduler.restore_state(state["scheduler"]["state"])
-        sim.scheduler = scheduler
-        engine = AllocationState.__new__(AllocationState)
-        engine.restore_state(state["engine"])
-        sim.engine = engine
-        # Host-side attributes, recomputed rather than restored.
-        sim._debug = _LOG.isEnabledFor(logging.DEBUG)
-        sim._checkpoint_every = checkpoint_every
-        sim._checkpoint_path = (
-            os.fspath(checkpoint_path) if checkpoint_path is not None else None
-        )
-        sim._last_checkpoint_at = sim._now
-        return sim
+        if every is not None and path is None:
+            raise SimulationError(
+                "checkpoint_every requires a checkpoint_path to write to"
+            )
+        self._checkpoint_every = every
+        self._checkpoint_path = os.fspath(path) if path is not None else None
+        self._last_checkpoint_at = self._now
 
     def _write_checkpoint(self) -> None:
         """Write one atomic checkpoint at the current simulated time."""

@@ -1,11 +1,13 @@
 """The checkpoint hard guarantee: restore → run is bit-identical.
 
-Parity matrix per the acceptance criteria: two schedulers × two
-topologies, plus a chaos fault profile — each case checkpoints a half-finished run, restores it, runs to
-completion, and requires the exact job-completion times and event count
-of the uninterrupted run.  The SIGKILL test does the same across a real
-process boundary: the first run is killed dead mid-flight and a fresh
-interpreter finishes from its last on-disk checkpoint.
+Parity matrix: every registered scheduler on a k=4 FatTree, once on a
+perfect fabric and once under the link-flap fault profile, plus two
+big-switch cases — each case checkpoints a half-finished run, restores
+it, runs to completion, and requires the exact job-completion times,
+event count and engine counters of the uninterrupted run.  The SIGKILL
+test does the same across a real process boundary: the first run is
+killed dead mid-flight and a fresh interpreter finishes from its last
+on-disk checkpoint.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from repro.experiments.common import (
     build_jobs,
     build_topology,
 )
-from repro.schedulers.registry import make_scheduler
+from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.simulator.checkpoint import restore_simulation, write_checkpoint
+from repro.simulator.observability import NetworkProbe
 from repro.simulator.runtime import CoflowSimulation
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -45,12 +48,16 @@ def _build(config: ScenarioConfig, scheduler: str):
 
 PARITY_CASES = [
     # (case id, scheduler, config overrides)
-    ("pfs-fattree", "pfs", {}),
-    ("gurita-fattree", "gurita", {}),
+    *(
+        (f"{name}-fattree", name, {"fattree_k": 4})
+        for name in available_schedulers()
+    ),
+    *(
+        (f"{name}-chaos", name, {"fattree_k": 4, "fault_profile": "link-flap"})
+        for name in available_schedulers()
+    ),
     ("pfs-bigswitch", "pfs", {"topology": "bigswitch"}),
     ("gurita-bigswitch", "gurita", {"topology": "bigswitch"}),
-    ("pfs-chaos", "pfs", {"fault_profile": "link-flap"}),
-    ("gurita-chaos", "gurita", {"fault_profile": "link-flap"}),
 ]
 
 
@@ -80,6 +87,30 @@ class TestMidRunRestoreParity:
         )
         assert resumed.events_processed == reference.events_processed
         assert resumed.reallocations == reference.reallocations
+        assert resumed.engine_stats == reference.engine_stats
+
+    def test_probed_run_restores_without_the_probe(self, tmp_path):
+        """A probe's patched ``_reallocate`` stays out of the checkpoint."""
+        config = ScenarioConfig(
+            name="ckpt-probe", num_jobs=8, seed=5, fattree_k=4
+        )
+        reference = _build(config, "gurita").run()
+
+        probed = _build(config, "gurita")
+        probe = NetworkProbe(probed)
+        probed.run(until=reference.makespan / 2)
+        assert probe.samples
+        path = tmp_path / "probed.ckpt"
+        write_checkpoint(probed, path)
+
+        restored = restore_simulation(path)
+        assert "_reallocate" not in vars(restored)
+        resumed = restored.run()
+        assert (
+            resumed.job_completion_times()
+            == reference.job_completion_times()
+        )
+        assert resumed.events_processed == reference.events_processed
 
     def test_double_checkpoint_chain_stays_identical(self, tmp_path):
         """Checkpoint → restore → checkpoint again → restore again."""

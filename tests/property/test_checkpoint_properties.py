@@ -1,23 +1,21 @@
-"""Property-based round-trips for checkpoint snapshot/restore.
+"""Property-based pickle round-trips of the checkpointed components.
 
-The checkpoint contract is *bit-identical continuation*: a component
-restored from ``snapshot_state()`` must behave exactly like the original
-from that point on.  These properties drive randomized histories through
-the event queue (including same-timestamp batches half-drained at the
-snapshot) and the incremental allocation engine, snapshot mid-history
-via a real pickle round-trip, and require the restored object to
-reproduce the original's observable behaviour event-for-event and
-rate-for-rate.
+The checkpoint contract is *bit-identical continuation*: a checkpoint
+pickles the simulation whole, and every component it holds must, once
+unpickled, behave exactly like the original from that point on.  These
+properties drive randomized histories through the event queue (including
+same-timestamp batches half-drained at the round-trip) and the
+incremental allocation engine, pickle the object mid-history, and
+require the copy to reproduce the original's observable behaviour
+event-for-event and rate-for-rate.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
 from repro.simulator.bandwidth.engine import AllocationState
 from repro.simulator.bandwidth.request import AllocationMode, AllocationRequest
 from repro.simulator.events import EventKind, EventQueue
@@ -73,14 +71,12 @@ class TestEventQueueRoundTrip:
     @given(queue_histories())
     @settings(max_examples=150, deadline=None)
     def test_snapshot_restores_identical_drain_order(self, ops):
-        """Snapshot mid-history; the restored queue drains identically."""
+        """Pickle mid-history; the restored queue drains identically."""
         split = len(ops) // 2
         original = EventQueue()
         apply_ops(original, ops[:split], "pre")
 
-        snapshot = pickle.loads(pickle.dumps(original.snapshot_state()))
-        restored = EventQueue()
-        restored.restore_state(snapshot)
+        restored = pickle.loads(pickle.dumps(original))
 
         # Both queues then see the same tail of the history...
         tail_original = apply_ops(original, ops[split:], "post")
@@ -97,10 +93,7 @@ class TestEventQueueRoundTrip:
         original = EventQueue()
         apply_ops(original, ops, "pre")
 
-        restored = EventQueue()
-        restored.restore_state(
-            pickle.loads(pickle.dumps(original.snapshot_state()))
-        )
+        restored = pickle.loads(pickle.dumps(original))
         base = max(original.watermark, 0.0)
         assert (
             restored.push(base + 1.0, EventKind.SCHEDULER_UPDATE).seq
@@ -116,21 +109,12 @@ class TestEventQueueRoundTrip:
         queue.pop()  # two of the four t=1.0 events are now drained
         queue.pop()
 
-        restored = EventQueue()
-        restored.restore_state(pickle.loads(pickle.dumps(queue.snapshot_state())))
+        restored = pickle.loads(pickle.dumps(queue))
         # Pushing back into the half-drained timestamp must slot among the
         # remaining events exactly as it would on the original.
         queue.push(1.0, EventKind.FLOW_COMPLETION)
         restored.push(1.0, EventKind.FLOW_COMPLETION)
         assert drain(restored) == drain(queue)
-
-    def test_variant_mismatch_is_rejected(self):
-        """A payload naming another queue class is refused, not guessed at."""
-        queue = EventQueue()
-        queue.push(1.0, EventKind.JOB_ARRIVAL)
-        foreign = dict(queue.snapshot_state(), variant="CalendarQueue")
-        with pytest.raises(SimulationError, match="CalendarQueue"):
-            EventQueue().restore_state(foreign)
 
 
 @st.composite
@@ -194,9 +178,7 @@ class TestAllocationStateRoundTrip:
         original = AllocationState(capacities)
         apply_engine_ops(original, ops[:split])
 
-        snapshot = pickle.loads(pickle.dumps(original.snapshot_state()))
-        restored = AllocationState.__new__(AllocationState)
-        restored.restore_state(snapshot)
+        restored = pickle.loads(pickle.dumps(original))
 
         tail_original = apply_engine_ops(original, ops[split:])
         tail_restored = apply_engine_ops(restored, ops[split:])

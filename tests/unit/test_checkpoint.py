@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
+import hashlib
 import pickle
 
 import pytest
@@ -17,7 +17,7 @@ from repro.simulator.checkpoint import (
     restore_simulation,
     write_checkpoint,
 )
-from repro.simulator.events import Event, EventKind, EventQueue
+from repro.simulator.events import EventQueue
 from repro.simulator.runtime import CoflowSimulation
 
 
@@ -33,13 +33,13 @@ class TestFileFormat:
         sim = _small_sim()
         sim.run(until=0.01)
         path = tmp_path / "sim.ckpt"
-        fingerprint = write_checkpoint(sim, path, meta={"scheduler": "pfs"})
+        fingerprint = write_checkpoint(sim, path)
         payload = read_checkpoint(path)
-        assert payload["schema"] == CHECKPOINT_SCHEMA
+        assert payload["schema"] == CHECKPOINT_SCHEMA == 2
         assert payload["fingerprint"] == fingerprint
-        assert payload["meta"] == {"scheduler": "pfs"}
         assert payload["simulated_time"] == sim.now
-        assert isinstance(payload["state"], dict)
+        assert isinstance(payload["simulation"], CoflowSimulation)
+        assert payload["simulation"].now == sim.now
 
     def test_atomic_write_leaves_no_tmp_file(self, tmp_path):
         sim = _small_sim()
@@ -89,10 +89,25 @@ class TestFileFormat:
         write_checkpoint(sim, path)
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        payload["schema"] = CHECKPOINT_SCHEMA + 1
+        # Schema 1 held per-component snapshots, not the pickled simulation.
+        for schema in (1, CHECKPOINT_SCHEMA + 1):
+            payload["schema"] = schema
+            path.write_bytes(pickle.dumps(payload, protocol=4))
+            with pytest.raises(CheckpointError, match="schema"):
+                read_checkpoint(path)
+
+    def test_body_that_is_not_a_simulation_rejected(self, tmp_path):
+        sim = _small_sim()
+        path = tmp_path / "sim.ckpt"
+        write_checkpoint(sim, path)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        body = pickle.dumps({"fields": {}, "queue": None}, protocol=4)
+        payload["body"] = body
+        payload["fingerprint"] = hashlib.blake2b(body, digest_size=16).hexdigest()
         path.write_bytes(pickle.dumps(payload, protocol=4))
-        with pytest.raises(CheckpointError, match="schema"):
-            read_checkpoint(path)
+        with pytest.raises(CheckpointError, match="not a CoflowSimulation"):
+            restore_simulation(path)
 
 
 class TestRestore:
@@ -141,66 +156,42 @@ class TestRestore:
                 topology, make_scheduler("pfs"), jobs, checkpoint_every=1.0
             )
 
-    def test_scheduler_class_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("every", [0.0, -1.0, float("nan")])
+    def test_non_positive_cadence_rejected(self, tmp_path, every):
+        config = ScenarioConfig(name="ckpt-flags", num_jobs=2, seed=1)
+        topology = build_topology(config)
+        jobs = build_jobs(config, topology.num_hosts)
+        with pytest.raises(SimulationError, match="positive"):
+            CoflowSimulation(
+                topology,
+                make_scheduler("pfs"),
+                jobs,
+                checkpoint_every=every,
+                checkpoint_path=tmp_path / "never.ckpt",
+            )
+
+    def test_restore_applies_the_constructor_cadence_checks(self, tmp_path):
+        """Restore validates its cadence exactly like ``__init__``: no
+        cadence without a path, and no zero cadence (which would write
+        and fsync a checkpoint after every event batch)."""
         sim = _small_sim()
         sim.run(until=0.005)
-        state = sim.snapshot_state()
-        state["scheduler"]["state"]["class"] = "SomethingElse"
-        with pytest.raises(CheckpointError):
-            make_scheduler("pfs").restore_state(state["scheduler"]["state"])
+        path = tmp_path / "mid.ckpt"
+        write_checkpoint(sim, path)
+        with pytest.raises(SimulationError, match="checkpoint_path"):
+            restore_simulation(path, checkpoint_every=1e-3)
+        with pytest.raises(SimulationError, match="positive"):
+            restore_simulation(path, checkpoint_every=0.0, checkpoint_path=path)
+        restored = restore_simulation(
+            path, checkpoint_every=1e-3, checkpoint_path=path
+        )
+        assert restored._checkpoint_every == 1e-3
+        assert restored._last_checkpoint_at == sim.now
 
 
 class TestCompatibility:
-    """Schema-1 checkpoints written before the queue and allocation
-    options were removed: what still restores, and what fails cleanly."""
-
-    def test_heap_shape_queue_payload_restores(self):
-        """The schema-1 heap payload restores into the one queue."""
-        rows = [
-            (2.0, EventKind.FLOW_COMPLETION, 5),
-            (1.0, EventKind.SCHEDULER_UPDATE, 4),
-            (1.0, EventKind.JOB_ARRIVAL, 6),
-            (3.0, EventKind.JOB_ARRIVAL, 3),
-        ]
-        heap = []
-        for time, kind, seq in rows:
-            event = Event(time, kind, seq, payload=("row", seq))
-            heapq.heappush(heap, (time, int(kind), seq, event))
-        payload = {
-            "variant": "EventQueue",
-            "next_seq": 7,
-            "size": len(heap),
-            "watermark": 0.5,
-            "storage": {"heap": heap},
-        }
-        assert set(EventQueue().snapshot_state()) == set(payload)
-        assert set(EventQueue().snapshot_state()["storage"]) == {"heap"}
-
-        queue = EventQueue()
-        queue.restore_state(pickle.loads(pickle.dumps(payload)))
-        assert len(queue) == 4
-        assert queue.watermark == 0.5
-        with pytest.raises(SimulationError, match="behind the pop watermark"):
-            queue.push(0.25, EventKind.JOB_ARRIVAL)
-        assert queue.push(3.0, EventKind.FLOW_COMPLETION).seq == 7
-        drained = [(e.time, e.kind, e.seq, e.payload) for e in _drain(queue)]
-        assert drained == [
-            (1.0, EventKind.JOB_ARRIVAL, 6, ("row", 6)),
-            (1.0, EventKind.SCHEDULER_UPDATE, 4, ("row", 4)),
-            (2.0, EventKind.FLOW_COMPLETION, 5, ("row", 5)),
-            (3.0, EventKind.JOB_ARRIVAL, 3, ("row", 3)),
-            (3.0, EventKind.FLOW_COMPLETION, 7, None),
-        ]
-        assert queue.watermark == 3.0
-
-    def test_engine_off_snapshot_raises_checkpoint_error(self):
-        """A snapshot of an engine-off run carries ``engine: None``."""
-        sim = _small_sim()
-        sim.run(until=0.005)
-        state = sim.snapshot_state()
-        state["engine"] = None
-        with pytest.raises(CheckpointError, match="no allocation engine"):
-            CoflowSimulation.restore_state(state)
+    """Checkpoints that name code this version no longer has fail
+    cleanly, as :class:`CheckpointError`."""
 
     def test_bucket_queue_checkpoint_fails_to_decode(self, tmp_path, monkeypatch):
         """A checkpoint that pickled the removed ``BucketEventQueue`` class
@@ -225,8 +216,3 @@ class TestCompatibility:
         with pytest.raises(CheckpointError, match="does not decode") as info:
             read_checkpoint(path)
         assert isinstance(info.value.__cause__, AttributeError)
-
-
-def _drain(queue):
-    while queue:
-        yield queue.pop()

@@ -1,7 +1,6 @@
 """Failure-isolation hardening of the parallel grid engine.
 
-Covers the robustness additions: exponential retry backoff with
-deterministic per-unit jitter, the per-unit wall-clock timeout,
+Covers the robustness additions: the per-unit wall-clock timeout,
 hung-worker termination with pool rebuild, corrupt-cache quarantine,
 per-attempt wall-time records, and the structured ``UnitFailure`` kinds.
 """
@@ -13,12 +12,10 @@ import time
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import parallel as parallel_module
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.experiments.parallel import (
     ResultCache,
     WorkUnit,
-    retry_jitter,
     run_grid,
 )
 
@@ -50,69 +47,9 @@ class TestParameterValidation:
         with pytest.raises(ExperimentError):
             run_grid([_unit("a")], retries=-1, run_unit=_ok)
 
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_grid([_unit("a")], backoff_base=-0.1, run_unit=_ok)
-
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ExperimentError):
             run_grid([_unit("a")], unit_timeout=0.0, run_unit=_ok)
-
-
-class TestRetryBackoff:
-    def test_backoff_spaces_attempts_exponentially(self, monkeypatch):
-        sleeps = []
-
-        def recording_sleep(seconds: float) -> None:
-            sleeps.append(seconds)
-            time.sleep(seconds)
-
-        monkeypatch.setattr(parallel_module, "_sleep", recording_sleep)
-        attempts = {"count": 0}
-
-        def flaky(unit: WorkUnit) -> ScenarioResult:
-            attempts["count"] += 1
-            if attempts["count"] <= 2:
-                raise RuntimeError("transient")
-            return ScenarioResult(config=unit.config)
-
-        report = run_grid(
-            [_unit("flaky")],
-            parallel=2,
-            retries=2,
-            backoff_base=0.02,
-            run_unit=flaky,
-            use_threads=True,
-        )
-        assert report.ok
-        assert report.stats.retries == 2
-        assert attempts["count"] == 3
-        # First retry waits ~backoff_base, second ~2x that, each scaled
-        # by the unit's deterministic jitter (the engine may split one
-        # wait across wake-ups, so compare the total).
-        unit = _unit("flaky")
-        expected = 0.02 * parallel_module.retry_jitter(unit, 1)
-        expected += 0.04 * parallel_module.retry_jitter(unit, 2)
-        assert sum(sleeps) >= expected - 0.005
-
-    def test_zero_backoff_retries_immediately(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module, "_sleep",
-            lambda s: pytest.fail("backoff sleep with backoff_base=0"),
-        )
-        attempts = {"count": 0}
-
-        def flaky(unit: WorkUnit) -> ScenarioResult:
-            attempts["count"] += 1
-            if attempts["count"] == 1:
-                raise RuntimeError("transient")
-            return ScenarioResult(config=unit.config)
-
-        report = run_grid(
-            [_unit("flaky")], retries=1, run_unit=flaky, use_threads=True,
-            parallel=2,
-        )
-        assert report.ok and report.stats.retries == 1
 
 
 class TestUnitTimeout:
@@ -175,20 +112,6 @@ class TestUnitTimeout:
         assert failure.kind == "error"
         assert "broken unit" in failure.error
         assert failure.to_dict()["kind"] == "error"
-
-
-class TestRetryJitterDeterminism:
-    def test_jitter_is_a_pure_function_of_unit_and_attempt(self):
-        unit = _unit("a", seed=5)
-        assert retry_jitter(unit, 1) == retry_jitter(_unit("a", seed=5), 1)
-        assert retry_jitter(unit, 1) != retry_jitter(unit, 2)
-        assert retry_jitter(unit, 1) != retry_jitter(_unit("b", seed=5), 1)
-
-    def test_jitter_stays_in_half_to_three_halves(self):
-        for name in ("a", "b", "c", "d"):
-            for attempt in (1, 2, 3, 7):
-                value = retry_jitter(_unit(name), attempt)
-                assert 0.5 <= value < 1.5
 
 
 class TestAttemptWallTimes:
