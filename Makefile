@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench bench-check bench-suite bench-suite-check gap gap-golden all
+.PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench bench-check bench-suite bench-suite-check bench-pairs gap gap-golden all
 
 ## Everything static in one command: all four simlint layers in one
 ## pass (per-file SIM001-SIM006, whole-program --deep SIM101-SIM106,
@@ -97,6 +97,16 @@ bench-suite:
 bench-suite-check:
 	$(PYTHON) benchmarks/suite/run.py --check
 	$(PYTHON) -m pytest benchmarks/suite -q
+
+## Alternating parent/change pairs of one suite workload, with each
+## end-to-end metric's medians, quartiles, wins, gain verdict and bound:
+## make bench-pairs W=tpcds-k4 PARENT=HEAD~1 [N=10] [SEED=42].  PARENT
+## is checked out as a git worktree under .bench_build/ for the run.
+bench-pairs: N ?= 10
+bench-pairs: SEED ?= 42
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --workload $(W) --parent $(PARENT) \
+		--pairs $(N) --seed $(SEED)
 
 ## Strict-invariant chaos run (what the chaos-smoke CI job executes),
 ## including the gap-harness comparators.

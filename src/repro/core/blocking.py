@@ -154,5 +154,13 @@ def psi_from_observation(
 
 def job_stage_psi(coflow_psis: Iterable[float]) -> float:
     """Ψ_J(s): the job's per-stage blocking effect — the sum over its
-    coflows in that stage (paper §IV.B)."""
-    return sum(coflow_psis)
+    coflows in that stage (paper §IV.B).
+
+    Added left to right on purpose: from Python 3.12 on, builtin ``sum``
+    compensates float rounding, so it would classify differently across
+    the supported interpreters.
+    """
+    total = 0.0
+    for psi in coflow_psis:
+        total += psi
+    return total

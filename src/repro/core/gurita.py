@@ -131,11 +131,16 @@ class GuritaScheduler(SchedulerPolicy):
         assert self.context is not None
         self._last_sync_time = now
         changed = False
+        coflow_class = self._coflow_class
         for job_id, head_receiver in self._head_receivers.items():
-            if not self._hr_reachable(job_id, head_receiver):
+            if (
+                self._crashed_hosts or self._hr_down_rounds
+            ) and not self._hr_reachable(job_id, head_receiver):
                 # HR host crashed and the failover quorum has not been
                 # reached: this job's receivers keep their stale classes
-                # (local scheduling continues; no blocking).
+                # (local scheduling continues; no blocking).  With no host
+                # down and no failover count pending, every HR is
+                # reachable and the check has nothing to update.
                 continue
             observations = None
             if self._plane is not None:
@@ -153,12 +158,20 @@ class GuritaScheduler(SchedulerPolicy):
             decisions = head_receiver.decide(self._estimator, observations)
             if not decisions:
                 continue
-            self._job_class[job_id] = max(d.priority_class for d in decisions)
+            job_class = 0
             for decision in decisions:
-                changed = (
-                    self._apply_decision(decision.coflow_id, decision.priority_class)
-                    or changed
-                )
+                new_class = decision.priority_class
+                if new_class > job_class:
+                    job_class = new_class
+                if new_class > coflow_class.get(decision.coflow_id, 0):
+                    changed = (
+                        self._apply_decision(decision.coflow_id, new_class)
+                        or changed
+                    )
+                else:
+                    # Not a demotion: only future flows see the class.
+                    coflow_class[decision.coflow_id] = new_class
+            self._job_class[job_id] = job_class
         return changed
 
     def _hr_reachable(self, job_id: int, head_receiver: HeadReceiver) -> bool:

@@ -16,7 +16,7 @@ invoked by the Gurita policy at each δ-spaced update event — the *timing*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.blocking import job_stage_psi, psi_from_observation
 from repro.core.config import GuritaConfig
@@ -94,8 +94,13 @@ class HeadReceiver:
         if not running:
             return []
 
-        psis: Dict[int, float] = {}
-        critical: Dict[int, bool] = {}
+        config = self.config
+        beta_floor = config.beta_floor
+        bonus = config.critical_path_bonus
+        job_id = self.job.job_id
+        rows: List[Tuple[Coflow, float, bool]] = []
+        # Each stage's Ψ̈ values, in running order: the summation order.
+        stage_psis: Dict[int, List[float]] = {}
         for coflow in running:
             observation = (
                 observations.get(coflow.coflow_id)
@@ -108,7 +113,7 @@ class HeadReceiver:
                     observation.max_flow_bytes,
                     observation.mean_flow_bytes,
                     completed_stages=coflow.stage - 1,
-                    beta_floor=self.config.beta_floor,
+                    beta_floor=beta_floor,
                 )
                 observed_max = observation.max_flow_bytes
             else:
@@ -121,43 +126,41 @@ class HeadReceiver:
                     observed_max,
                     observed_mean,
                     completed_stages=coflow.stage - 1,
-                    beta_floor=self.config.beta_floor,
+                    beta_floor=beta_floor,
                 )
             estimator.observe(observed_max)
             flagged = False
-            if self.config.critical_path_bonus > 0:
+            if bonus > 0:
                 flagged = estimator.is_critical(
-                    self.job.job_id,
+                    job_id,
                     coflow.coflow_id,
                     observed_max,
                 )
                 if flagged:
                     # Rule 4: a marginal discount so critical-path coflows
                     # edge ahead of peers with comparable blocking effect.
-                    psi *= 1.0 - self.config.critical_path_bonus
-            psis[coflow.coflow_id] = psi
-            critical[coflow.coflow_id] = flagged
+                    psi *= 1.0 - bonus
+            rows.append((coflow, psi, flagged))
+            stage_psis.setdefault(coflow.stage, []).append(psi)
 
-        stage_totals: Dict[int, float] = {}
-        by_stage: Dict[int, List[Coflow]] = {}
-        for coflow in running:
-            by_stage.setdefault(coflow.stage, []).append(coflow)
-        for stage, coflows in by_stage.items():
-            stage_totals[stage] = job_stage_psi(
-                psis[c.coflow_id] for c in coflows
-            )
+        # Ψ̈_J(s) and its class, once per stage.
+        class_of = config.thresholds.class_of
+        stages: Dict[int, Tuple[float, int]] = {}
+        for stage, values in stage_psis.items():
+            total = job_stage_psi(values)
+            stages[stage] = (total, class_of(total))
 
         decisions: List[CoflowDecision] = []
-        for coflow in running:
-            stage_psi = stage_totals[coflow.stage]
+        for coflow, psi, flagged in rows:
+            stage_psi, priority_class = stages[coflow.stage]
             decisions.append(
                 CoflowDecision(
                     coflow_id=coflow.coflow_id,
                     stage=coflow.stage,
-                    psi=psis[coflow.coflow_id],
+                    psi=psi,
                     stage_psi=stage_psi,
-                    priority_class=self.config.thresholds.class_of(stage_psi),
-                    on_critical_path=critical[coflow.coflow_id],
+                    priority_class=priority_class,
+                    on_critical_path=flagged,
                 )
             )
         return decisions

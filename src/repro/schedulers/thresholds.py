@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from functools import cached_property
+from typing import List, Tuple
 
 from repro.errors import SchedulerError
 
@@ -45,11 +46,18 @@ class ExponentialThresholds:
     @property
     def boundaries(self) -> List[float]:
         """The K-1 class boundaries, ascending."""
-        return [self.first * self.base**i for i in range(self.num_classes - 1)]
+        return list(self._boundaries)
+
+    @cached_property
+    def _boundaries(self) -> Tuple[float, ...]:
+        # Computed on first use, not in __post_init__: unpickling skips
+        # __post_init__, and an instance pickled before this cache existed
+        # (a checkpoint) must still classify.
+        return tuple(self.first * self.base**i for i in range(self.num_classes - 1))
 
     def class_of(self, score: float) -> int:
         """Priority class for a score (0 = highest priority)."""
-        return bisect_right(self.boundaries, score)
+        return bisect_right(self._boundaries, score)
 
     def demoted(self, score: float, floor_class: int) -> int:
         """Class for a score, never better (smaller) than ``floor_class``.

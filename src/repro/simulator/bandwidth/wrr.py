@@ -87,7 +87,11 @@ def wrr_weights(loads: Sequence[float], mode: str = "inverse_wait") -> List[floa
         raw = list(waits)
     else:
         raise ValueError(f"unknown WRR weight mode {mode!r}")
-    total = sum(raw)
+    # Left to right, not builtin sum: from Python 3.12 on, sum()
+    # compensates float rounding and the weights would differ by version.
+    total = 0.0
+    for r in raw:
+        total += r
     if total <= 0:
         return [1.0 / len(raw)] * len(raw)
     return [r / total for r in raw]
@@ -144,8 +148,12 @@ def allocate_wrr_memberships(
     )
 
     # Redistribute the guaranteed share of empty classes to busy ones so the
-    # guaranteed pass itself wastes nothing.
-    busy_weight = sum(w for w, c in zip(weights, counts) if c > 0)
+    # guaranteed pass itself wastes nothing.  Summed left to right, as in
+    # wrr_weights.
+    busy_weight = 0.0
+    for w, c in zip(weights, counts):
+        if c > 0:
+            busy_weight += w
     rates: Dict[int, float] = {}
     caps = capacities
     consumed = np.zeros_like(caps)

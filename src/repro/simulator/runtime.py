@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Unio
 
 from repro.errors import NoPathError, SimulationError
 from repro.jobs.coflow import Coflow
-from repro.jobs.flow import VOLUME_EPSILON, Flow, FlowState
+from repro.jobs.flow import VOLUME_EPSILON, Flow
 from repro.jobs.job import Job
 from repro.schedulers.context import SchedulerContext
 from repro.simulator.bandwidth.engine import AllocationState, EngineStats
@@ -47,7 +47,7 @@ from repro.simulator.invariants import (
     invariants_from_env,
 )
 from repro.simulator.routing.ecmp import EcmpRouter
-from repro.simulator.timecmp import time_resolution
+from repro.simulator.timecmp import time_before, time_resolution
 from repro.simulator.topology.base import Topology
 
 #: SCHEDULER_UPDATE payload marking a delayed (fault-injected) HR sync.
@@ -186,6 +186,10 @@ class CoflowSimulation:
         #: check, not a logger-hierarchy walk per event
         self._debug = _LOG.isEnabledFor(logging.DEBUG)
         self._now = 0.0
+        #: clock resolution of the current batch (see _advance_to)
+        self._tick = self._time_tick()
+        #: may an active flow be ripe that _advance_to did not test?
+        self._ripe_pending = True
         self._epoch = 0
         self._events_processed = 0
         self._reallocations = 0
@@ -388,7 +392,7 @@ class CoflowSimulation:
         # paying a redundant reallocation.  The queue's has_event_within
         # applies the same timecmp tolerance as its push-side watermark
         # guard, so a batch straddling the watermark can never be split.
-        horizon = batch_time + self._time_tick()
+        horizon = batch_time + self._tick
         while self._queue.has_event_within(horizon):
             drained = self._queue.pop()
             if self.invariants is not None:
@@ -418,31 +422,55 @@ class CoflowSimulation:
 
     @hot_path
     def _advance_to(self, time: float) -> None:
-        if time < self._now - 1e-9:
+        """Start a batch at ``time``: move the clock and every active flow.
+
+        Sets the batch's clock resolution :attr:`_tick` and applies
+        :meth:`_finish_ripe_flows`'s ripeness test to each flow as it
+        advances it.  Nothing writes a flow's rate or volume between here
+        and that scan, so the scan is needed only when this pass found a
+        ripe flow, when the clock did not move, or when a flow joins
+        ``_active`` later in the batch (:meth:`_release_coflow` and
+        :meth:`_unpark_flows` set :attr:`_ripe_pending` for those).
+        """
+        # The queue's watermark tolerance: an event it accepted is never
+        # "backwards" here, at any clock magnitude.
+        if time < self._now and time_before(time, self._now):
             raise SimulationError(
                 f"time went backwards: {self._now} -> {time}"
             )
         elapsed = time - self._now
-        if elapsed > 0:
-            # Hottest loop in the simulator: every event batch touches every
-            # active flow.  Flow.advance is inlined here (identical float
-            # arithmetic) to drop a method call and re-reads per flow.
-            job_bytes = self._job_bytes
-            job_of_flow = self._job_of_flow
-            for flow in self._active.values():
-                rate = flow.rate
-                remaining = flow.remaining_bytes
-                delivered = rate * elapsed
-                if delivered > remaining:
-                    delivered = remaining
-                if delivered > 0:
-                    job_bytes[job_of_flow[flow.flow_id]] += delivered
-                if flow.state is FlowState.ACTIVE:
-                    # max(0.0, ...) without the builtin call; <= maps -0.0
-                    # to 0.0 exactly like max would.
-                    left = remaining - rate * elapsed
-                    flow.remaining_bytes = 0.0 if left <= 0.0 else left
-        self._now = max(self._now, time)
+        if not elapsed > 0:
+            self._tick = self._time_tick()
+            self._ripe_pending = True
+            return
+        self._now = time
+        tick = self._tick = self._time_tick()
+        ripe = False
+        # Hottest loop in the simulator: every event batch touches every
+        # active flow.  Flow.advance is inlined here (identical float
+        # arithmetic) to drop a method call and re-reads per flow; every
+        # flow in _active is in the ACTIVE state.
+        job_bytes = self._job_bytes
+        job_of_flow = self._job_of_flow
+        for flow in self._active.values():
+            rate = flow.rate
+            remaining = flow.remaining_bytes
+            moved = rate * elapsed
+            left = remaining - moved
+            if left > 0.0:
+                # moved < remaining: the flow delivered all it moved.
+                if moved > 0:
+                    job_bytes[job_of_flow[flow.flow_id]] += moved
+                flow.remaining_bytes = left
+                if left <= VOLUME_EPSILON or left <= rate * tick:
+                    ripe = True
+            else:
+                # Drained (max(0.0, left) maps -0.0 to 0.0 as well).
+                if remaining > 0:
+                    job_bytes[job_of_flow[flow.flow_id]] += remaining
+                flow.remaining_bytes = 0.0
+                ripe = True
+        self._ripe_pending = ripe
 
     @hot_path
     def _handle(self, event: Event) -> bool:
@@ -489,7 +517,7 @@ class CoflowSimulation:
             # ticks keeps the event outside the horizon *and* outside the
             # timecmp tolerance has_event_within grants around it.
             self._queue.push(
-                self._now + max(interval, 4.0 * self._time_tick()),
+                self._now + max(interval, 4.0 * self._tick),
                 EventKind.SCHEDULER_UPDATE,
             )
         injector = self.fault_injector
@@ -505,7 +533,7 @@ class CoflowSimulation:
                 return False if changed is None else bool(changed)
             if disposition == HR_DELAY:
                 self._queue.push(
-                    self._now + max(delay, 4.0 * self._time_tick()),
+                    self._now + max(delay, 4.0 * self._tick),
                     EventKind.SCHEDULER_UPDATE,
                     payload=_HR_DELAYED_SYNC,
                 )
@@ -519,6 +547,8 @@ class CoflowSimulation:
 
     def _release_coflow(self, coflow: Coflow) -> None:
         coflow.release(self._now)
+        # The released flows join _active after this batch's advance.
+        self._ripe_pending = True
         injector = self.fault_injector
         for flow in coflow.flows:
             if injector is not None and (
@@ -706,6 +736,8 @@ class CoflowSimulation:
             flow.route = route
             del self._parked[flow_id]
             self._active[flow_id] = flow
+            # A flow parked in the batch it drained comes back ripe.
+            self._ripe_pending = True
             self.engine.add_flow(flow_id, route)
             # add_flow files the flow in the lowest class; make sure the
             # next allocation re-files it under its true class even for
@@ -728,8 +760,14 @@ class CoflowSimulation:
     @hot_path
     def _finish_ripe_flows(self) -> bool:
         """Complete every active flow whose volume has drained (or whose
-        remaining transfer time is below float time resolution)."""
-        tick = self._time_tick()
+        remaining transfer time is below float time resolution).
+
+        Skips the scan when :meth:`_advance_to` tested every active flow
+        and found none ripe (see :attr:`_ripe_pending`).
+        """
+        if not self._ripe_pending:
+            return False
+        tick = self._tick
         ripe = [
             f
             for f in self._active.values()
@@ -789,7 +827,7 @@ class CoflowSimulation:
         if next_completion is not None:
             # Clamp below float time resolution so the event strictly
             # advances the clock; the ripeness test completes such flows.
-            next_completion = max(next_completion, self._now + self._time_tick())
+            next_completion = max(next_completion, self._now + self._tick)
             self._queue.push(
                 next_completion, EventKind.FLOW_COMPLETION, epoch=self._epoch
             )

@@ -35,10 +35,15 @@ def time_resolution(t: Seconds) -> Seconds:
 
 
 def times_close(a: Seconds, b: Seconds) -> bool:
-    """Do ``a`` and ``b`` denote the same simulation instant?"""
-    return abs(a - b) <= max(time_resolution(a), time_resolution(b))
+    """Do ``a`` and ``b`` denote the same simulation instant?
+
+    The tolerance is the coarser of the two clocks' resolutions.
+    ``math.ulp`` is monotone in ``|t|``, so that is the resolution at
+    the larger magnitude: one :func:`time_resolution` call, not two.
+    """
+    return abs(a - b) <= time_resolution(max(abs(a), abs(b)))
 
 
 def time_before(a: Seconds, b: Seconds) -> bool:
     """Is ``a`` strictly before ``b``, beyond float time resolution?"""
-    return a < b - max(time_resolution(a), time_resolution(b))
+    return a < b - time_resolution(max(abs(a), abs(b)))

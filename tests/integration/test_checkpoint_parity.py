@@ -112,6 +112,35 @@ class TestMidRunRestoreParity:
         )
         assert resumed.events_processed == reference.events_processed
 
+    def test_checkpoint_without_per_batch_state_restores(self, tmp_path):
+        """A checkpoint pickled before the per-batch tick, the ripe-scan
+        flag and the cached threshold boundaries existed still resumes:
+        each is written before it is read, or computed on first use."""
+        config = ScenarioConfig(
+            name="ckpt-batch-state", num_jobs=10, seed=7, fattree_k=4
+        )
+        reference = _build(config, "gurita").run()
+
+        sim = _build(config, "gurita")
+        sim.run(until=reference.makespan / 2)
+        thresholds = sim.scheduler.config.thresholds
+        assert "_boundaries" in vars(thresholds)
+        del sim._tick, sim._ripe_pending
+        del vars(thresholds)["_boundaries"]
+        path = tmp_path / "older.ckpt"
+        write_checkpoint(sim, path)
+
+        restored = restore_simulation(path)
+        assert not {"_tick", "_ripe_pending"} & set(vars(restored))
+        assert "_boundaries" not in vars(restored.scheduler.config.thresholds)
+        resumed = restored.run()
+        assert (
+            resumed.job_completion_times()
+            == reference.job_completion_times()
+        )
+        assert resumed.events_processed == reference.events_processed
+        assert resumed.engine_stats == reference.engine_stats
+
     def test_double_checkpoint_chain_stays_identical(self, tmp_path):
         """Checkpoint → restore → checkpoint again → restore again."""
         config = ScenarioConfig(name="ckpt-chain", num_jobs=8, seed=5)

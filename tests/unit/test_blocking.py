@@ -85,6 +85,11 @@ class TestBlockingEffect:
         assert job_stage_psi([1.0, 2.0, 3.0]) == pytest.approx(6.0)
         assert job_stage_psi([]) == 0.0
 
+    def test_job_stage_psi_adds_left_to_right(self):
+        # Builtin sum() compensates rounding from Python 3.12 on (1.0
+        # here); the stage sum must classify alike on every version.
+        assert job_stage_psi([0.1] * 10) == 0.9999999999999999
+
 
 class TestCoflowPsi:
     def _job(self, ids):

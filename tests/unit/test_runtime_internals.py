@@ -72,6 +72,21 @@ class TestTimeTick:
         with pytest.raises(SimulationError):
             sim._advance_to(4.0)
 
+    def test_event_the_queue_accepted_is_not_backwards(self, ids):
+        """The queue takes a push up to 8 ulps behind its watermark; the
+        clock must take the same event.  At 4e6 s four ulps exceed 1e-9 s,
+        so an absolute guard rejected it."""
+        arrival = 4e6
+        job = single_stage_job([(0, 1, 1.0 * GB)], arrival_time=arrival, ids=ids)
+        sim = make_sim([job])
+        sim.run(until=arrival)
+        sim._queue.push(
+            arrival - 4 * math.ulp(arrival), EventKind.FLOW_COMPLETION, epoch=-1
+        )
+        result = sim.run()
+        assert result.all_done
+        assert job.completion_time() == pytest.approx(1.0, rel=1e-6)
+
 
 class TestEpochInvalidation:
     def test_stale_completion_events_are_noops(self, ids):

@@ -82,6 +82,19 @@ class TestWrrWeights:
         assert weights == pytest.approx([0.5, 0.5])
 
 
+    def test_weights_add_left_to_right(self):
+        # Builtin sum() compensates rounding from Python 3.12 on, which
+        # moves these weights in the last digits; every version must
+        # produce the same ones.
+        weights = wrr_weights(class_loads_from_counts([0, 0, 3, 33]))
+        assert weights == [
+            0.3314001657000828,
+            0.3314001657000828,
+            0.30654515327257664,
+            0.030654515327257686,
+        ]
+
+
 class TestWrrAllocation:
     def test_no_starvation(self):
         """Unlike SPQ, every class keeps a positive rate on a shared link."""
