@@ -7,18 +7,20 @@ CLI (what the ``resume-smoke`` CI job runs):
 1. run a supervised trials grid uninterrupted and record its JCT
    fingerprint;
 2. launch the identical grid in a fresh run directory, SIGKILL the
-   process as soon as a simulator checkpoint appears on disk (a partial
-   or cache entry alone does not count: the resume must restore a
-   checkpoint mid-simulation);
+   process as soon as the *second* unit has a simulator checkpoint on
+   disk (a partial or cache entry alone does not count: the resume must
+   restore a checkpoint mid-simulation);
 3. ``repro resume`` the killed run's manifest;
-4. fail unless the resumed grid prints the exact fingerprint of the
-   uninterrupted run.
+4. fail unless the resume finds the first unit, which finished before
+   the kill, in the cache (``1 cache hit(s)``), and prints the exact
+   fingerprint of the uninterrupted run.
 
 Exit code 0 = bit-identical; anything else is a determinism regression.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
@@ -33,10 +35,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 #: Big enough that the victim cannot finish before the kill lands on a
 #: typical machine; small enough to keep the smoke inside a CI budget.
+SEEDS = ("1", "2")
 TRIALS_FLAGS = [
     "trials",
     "--jobs", "30",
-    "--seeds", "1,2",
+    "--seeds", ",".join(SEEDS),
     "--schedulers", "pfs,gurita",
 ]
 
@@ -71,10 +74,19 @@ def _fingerprint_of(output: str, label: str) -> str:
     return match.group(1)
 
 
-def _checkpoint_exists(run_dir: Path) -> bool:
-    """A complete checkpoint is on disk (``*.ckpt.tmp`` is one mid-write)."""
-    root = run_dir / "checkpoints"
-    return root.is_dir() and any(root.glob("*.ckpt"))
+def _second_unit_checkpointed(run_dir: Path) -> bool:
+    """The second unit has a complete checkpoint on disk.
+
+    Checkpoints are named ``<unit fingerprint>.<scheduler>.ckpt`` (a
+    ``*.ckpt.tmp`` is one mid-write); the manifest lists the units'
+    fingerprints in grid order.
+    """
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return False  # not written yet, or caught mid-replace
+    second = manifest["units"][1]["fingerprint"]
+    return any((run_dir / "checkpoints").glob(f"{second}.*.ckpt"))
 
 
 def main() -> int:
@@ -102,7 +114,7 @@ def main() -> int:
         deadline = time.monotonic() + 60.0
         killed = False
         while victim.poll() is None:
-            if _checkpoint_exists(victim_dir):
+            if _second_unit_checkpointed(victim_dir):
                 os.kill(victim.pid, signal.SIGKILL)
                 killed = True
                 break
@@ -113,10 +125,13 @@ def main() -> int:
             time.sleep(0.01)
         victim.wait(timeout=30.0)
         if killed:
-            print(f"   killed pid {victim.pid} with a checkpoint on disk")
+            print(f"   killed pid {victim.pid} with the second unit's "
+                  "checkpoint on disk")
         else:
             print("   victim finished before the kill (machine too fast); "
                   "resume must then be pure cache hits")
+        # The first unit finished before the kill, so it must be cached.
+        expected_hits = 1 if killed else len(SEEDS)
         if not (victim_dir / "manifest.json").exists():
             print("FAIL: victim left no manifest to resume from")
             return 1
@@ -131,6 +146,12 @@ def main() -> int:
             return 1
         actual = _fingerprint_of(resumed.stdout, "resumed run")
         print(f"   fingerprint {actual}")
+        if f" {expected_hits} cache hit(s)," not in resumed.stdout:
+            print(
+                f"FAIL: resume did not report {expected_hits} cache hit(s) — "
+                f"a unit finished before the kill was lost:\n{resumed.stdout}"
+            )
+            return 1
 
         if actual != expected:
             print(

@@ -12,13 +12,20 @@ Design contract (the differential suite in
 
 **Determinism.**  A unit's outcome is a pure function of the unit alone.
 The workload seed a unit simulates with is the caller's replicate seed,
-verbatim; the engine additionally derives a stable 64-bit *unit seed*
-(:func:`derive_unit_seed`, a blake2b hash over the canonical config
-encoding) used for unit identity, cache keys, and any engine-internal
-randomness.  Nothing — not the seed, not the result, not the order of
-reassembly — ever depends on worker index, pool size, or completion
-order, so serial (``parallel=1``, the degenerate case) and parallel runs
+verbatim.  The unit's identity and cache key is
+:meth:`WorkUnit.fingerprint`, a blake2b hash over the canonical config
+encoding, the scheduler set and a code-version salt.  Nothing — not the
+result, not the order of reassembly — ever depends on worker index, pool
+size, or completion order, so serial (``parallel=1``) and parallel runs
 produce bit-identical JCTs.
+
+**One launch loop.**  Pending attempts wait in one queue.  Each pass of
+:func:`run_grid` checks the run budget, launches, waits, and handles the
+attempts that finished: a result is stored (and cached) at once, a
+retry goes back to the front of the queue.  A serial grid keeps one
+attempt in flight and runs it in this process, so unit k is stored, and
+the budget checked, before unit k+1 starts; a process pool takes every
+pending attempt at once.
 
 **Caching.**  With a ``cache_dir``, each completed unit is persisted
 under a fingerprint of (canonical config + scheduler set + code-version
@@ -28,20 +35,21 @@ corrupt or mismatched entry silently degrades to a miss and is
 rewritten.
 
 **Failure isolation.**  A unit that raises (or returns a payload that
-fails validation) is retried up to ``retries`` times, each retry
+fails validation) is retried :data:`RETRIES` time(s), each retry
 launched at once; exhausted units land in the report's structured
 ``failures`` list — offending config, error, traceback, attempt count —
-without sinking sibling units.  A ``unit_timeout`` additionally bounds
-each attempt's wall-clock time: hung workers are killed (the process
-pool is rebuilt and surviving in-flight units resubmitted) and the unit
-is recorded as a structured ``UnitFailure(kind="timeout")`` instead of
-stalling the grid forever.
+without sinking sibling units.  A worker process that dies breaks its
+pool: the pool is rebuilt and every attempt then in flight is charged a
+retry.  The grid's ``budget`` is its one wall-clock bound: at expiry
+nothing new launches, a pool's running attempts are killed, and every
+unit without a result is recorded as ``UnitFailure(kind="budget")``.  A
+serial grid cannot stop the unit it is running; it stops at the next
+launch.
 
 **Observability.**  Progress events stream through an injectable hook;
 completed units, cache hits, retries, and worker utilization are
 condensed into :class:`GridStats`, whose :meth:`GridStats.counters`
-snapshot is the one counter surface (read by
-:func:`repro.simulator.observability.parallel_counters` and
+snapshot is the one counter surface (serialized with the failures by
 :func:`repro.metrics.serialize.grid_report_to_dict`).
 """
 
@@ -54,14 +62,16 @@ import multiprocessing
 import os
 import pickle
 import traceback as traceback_module
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     List,
     Optional,
@@ -80,12 +90,12 @@ CACHE_FORMAT = 1
 
 
 # ----------------------------------------------------------------------
-# Canonical encoding and seed derivation
+# Canonical encoding
 # ----------------------------------------------------------------------
-#: Config fields added after seed-derivation goldens were pinned, with the
+#: Config fields added after the fingerprint goldens were pinned, with the
 #: defaults they must be omitted at.  Skipping them keeps the canonical
-#: encoding — and every unit seed and cache fingerprint hashed from it —
-#: byte-identical for configs that do not use the new features.
+#: encoding — and every cache fingerprint hashed from it — byte-identical
+#: for configs that do not use the new features.
 _EXTENSION_FIELD_DEFAULTS: Dict[str, Any] = {
     "fault_profile": "",
     "fault_intensity": 1.0,
@@ -116,44 +126,6 @@ def canonical_config(config: ScenarioConfig) -> str:
             value = list(value)
         record[f.name] = value
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _unit_identity(
-    config: ScenarioConfig, seed: int, schedulers: Tuple[str, ...]
-) -> str:
-    effective = config.with_overrides(seed=seed)
-    return json.dumps(
-        {
-            "config": json.loads(canonical_config(effective)),
-            "schedulers": list(schedulers),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def derive_unit_seed(
-    config: ScenarioConfig,
-    seed: Optional[int] = None,
-    schedulers: Optional[Sequence[str]] = None,
-) -> int:
-    """A stable 63-bit seed for one work unit.
-
-    The derivation is a blake2b hash of the unit's canonical identity
-    (config with the replicate ``seed`` applied, plus the scheduler
-    set) — a pure function of the unit.  It is therefore identical
-    across process-pool sizes, submission orderings, and worker
-    assignment, and unique across units that differ in any field.  It is
-    deliberately *salt-free*: seeds must not change when the code
-    version (and hence the cache salt) does.
-    """
-    effective_seed = config.seed if seed is None else seed
-    names = tuple(schedulers if schedulers is not None else config.schedulers)
-    digest = hashlib.blake2b(
-        _unit_identity(config, effective_seed, names).encode("utf-8"),
-        digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
 def default_cache_salt() -> str:
@@ -197,16 +169,21 @@ class WorkUnit:
             self.schedulers if self.schedulers is not None else self.config.schedulers
         )
 
-    @property
-    def derived_seed(self) -> int:
-        """The unit's stable 63-bit identity seed (see :func:`derive_unit_seed`)."""
-        return derive_unit_seed(self.config, self.seed, self.schedulers)
-
     def fingerprint(self, salt: Optional[str] = None) -> str:
-        """The unit's cache key: identity + code-version salt."""
+        """The unit's identity and cache key.
+
+        A blake2b hash of the canonical effective config (replicate seed
+        applied), the scheduler set and the code-version salt: a pure
+        function of the unit, never of pool size, worker or grid order.
+        """
         salt = salt if salt is not None else default_cache_salt()
-        identity = _unit_identity(
-            self.config, self.effective_seed, self.scheduler_names()
+        identity = json.dumps(
+            {
+                "config": json.loads(canonical_config(self.effective_config())),
+                "schedulers": list(self.scheduler_names()),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
         )
         return hashlib.blake2b(
             f"{identity}|salt={salt}".encode("utf-8"), digest_size=16
@@ -281,7 +258,7 @@ class ResultCache:
     def path_for(self, unit: WorkUnit) -> Path:
         # The REPRO_CACHE_SALT env override feeding self.salt is the
         # documented cache-namespace knob: it only renames cache entries
-        # and never reaches unit seeds or results.
+        # and never reaches seeds or results.
         return self.root / f"{unit.fingerprint(self.salt)}.pkl"  # simlint: ignore[SIM103]
 
     def _quarantine(self, path: Path) -> None:
@@ -342,21 +319,21 @@ class ResultCache:
 # ----------------------------------------------------------------------
 @dataclass
 class UnitFailure:
-    """One unit that exhausted its retries (or its wall-clock budget)."""
+    """One unit that exhausted its retries (or the grid's run budget)."""
 
     index: int
     unit: WorkUnit
     error: str
     traceback: str
     attempts: int
-    #: "error" (raised / failed validation), "timeout" (attempt killed
-    #: after exceeding the per-unit wall-clock budget), "crash" (worker
-    #: process died mid-attempt and retries ran out), or "budget" (the
-    #: grid's run budget expired before the unit could finish)
+    #: "error" (raised / failed validation), "crash" (worker process
+    #: died mid-attempt and retries ran out), or "budget" (the grid's
+    #: run budget expired before the unit could finish)
     kind: str = "error"
     #: wall-clock seconds of every observed attempt, in attempt order —
     #: including attempts voided by a pool rebuild (their wall time was
-    #: genuinely spent).  Empty when no attempt was launched at all.
+    #: genuinely spent).  Empty, with ``attempts == 0``, when no attempt
+    #: was launched at all.
     attempt_seconds: List[float] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -384,9 +361,6 @@ class GridStats:
     cache_corrupt: int = 0
     retries: int = 0
     failures: int = 0
-    #: failures caused by the per-unit wall-clock timeout (subset of
-    #: ``failures``); each one killed and rebuilt the worker pool
-    timeouts: int = 0
     #: worker-process deaths detected (pool rebuilt, victims resubmitted)
     worker_crashes: int = 0
     #: units abandoned because the grid's wall-clock run budget expired
@@ -433,8 +407,7 @@ class GridStats:
 class ProgressEvent:
     """One engine progress tick, streamed to the ``progress`` hook."""
 
-    #: "cache-hit" | "done" | "retry" | "failed" | "timeout" |
-    #: "crash" | "abandoned"
+    #: "cache-hit" | "done" | "retry" | "failed" | "crash" | "abandoned"
     kind: str
     index: int
     unit: WorkUnit
@@ -471,19 +444,18 @@ class GridReport:
             )
         return [r for r in self.results if r is not None]
 
-    def failure_report(self) -> Dict[str, Any]:
-        """The structured failures report (JSON-safe)."""
-        return {
-            "total_units": self.stats.total_units,
-            "completed": self.stats.completed,
-            "failed": self.stats.failures,
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
+#: Re-attempts a unit gets after a failed attempt (a raise, an invalid
+#: payload, or a worker death) before it is recorded as failed.
+RETRIES = 1
+
+#: The progress event that announces each :class:`UnitFailure` kind.
+_FAILURE_EVENTS = {"error": "failed", "crash": "crash", "budget": "abandoned"}
+
+
 def _run_timed(
     run_unit: Callable[[WorkUnit], ScenarioResult], unit: WorkUnit
 ) -> Tuple[ScenarioResult, float]:
@@ -494,12 +466,7 @@ def _run_timed(
 
 
 class _InlineExecutor(Executor):
-    """The serial degenerate case: submit() runs the task immediately.
-
-    Routing ``parallel=1`` through the same submit/wait/retry loop as the
-    pools keeps serial execution a true degenerate case of the engine
-    rather than a separate code path.
-    """
+    """The serial executor: submit() runs the task in this process."""
 
     def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> "Future[Any]":
         future: "Future[Any]" = Future()
@@ -510,11 +477,9 @@ class _InlineExecutor(Executor):
         return future
 
 
-def _make_executor(workers: int, use_threads: bool) -> Executor:
+def _make_executor(workers: int) -> Executor:
     if workers <= 1:
         return _InlineExecutor()
-    if use_threads:
-        return ThreadPoolExecutor(max_workers=workers)
     context: Optional[multiprocessing.context.BaseContext] = None
     if "fork" in multiprocessing.get_all_start_methods():
         # Fork keeps worker startup cheap and lets tests inject
@@ -528,10 +493,8 @@ def run_grid(
     parallel: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
     cache: Optional[ResultCache] = None,
-    retries: int = 1,
-    unit_timeout: Optional[float] = None,
+    *,
     run_unit: Callable[[WorkUnit], ScenarioResult] = execute_unit,
-    use_threads: bool = False,
     progress: Optional[ProgressHook] = None,
     budget: Optional[float] = None,
 ) -> GridReport:
@@ -539,41 +502,36 @@ def run_grid(
 
     Results come back in submission order regardless of completion
     order.  ``cache_dir`` (or an explicit ``cache``) enables the on-disk
-    result cache; ``retries`` bounds re-execution of failing units (the
-    default is exactly one retry; each retry launches at once);
-    ``unit_timeout`` bounds each attempt's wall-clock seconds — an
-    attempt that exceeds it is recorded as a
-    ``UnitFailure(kind="timeout")`` without retrying, and with a process
-    pool the hung workers are killed, the pool rebuilt, and surviving
-    in-flight units resubmitted (thread and inline executors cannot be
-    killed; their hung attempt is abandoned and its eventual result
-    discarded); a worker process that *dies* mid-attempt (OOM kill,
-    segfault) is detected, the pool rebuilt, and every interrupted unit
-    re-attempted against its retry allowance (exhausted ones land as
-    ``kind="crash"``); ``use_threads`` swaps the process pool for threads
-    (used by fault-injection tests to share state with a custom
-    ``run_unit``); ``budget`` bounds the whole grid's wall-clock seconds
-    — at expiry, nothing new launches and every pending unit is recorded
-    as ``kind="budget"`` (``stats.abandoned``) so a supervised run can
-    checkpoint-then-stop instead of overrunning its slot.
+    result cache; each result is stored as soon as it arrives.  A failed
+    attempt is retried :data:`RETRIES` time(s), launched at once.  A
+    worker process that *dies* mid-attempt (OOM kill, segfault) breaks
+    the pool: it is rebuilt, and every attempt then in flight is charged
+    a retry (exhausted ones land as ``kind="crash"``).  ``budget`` bounds
+    the whole grid's wall-clock seconds: at expiry nothing new launches,
+    the pool's running attempts are killed, and every unit without a
+    result is recorded as ``kind="budget"`` (``stats.abandoned``) — with
+    ``attempts == 0`` if it never launched — so a supervised run can
+    stop without losing its finished units.
+
+    ``parallel=1`` runs one attempt at a time in this process: unit k is
+    stored, and the budget checked, before unit k+1 starts.  A serial
+    grid cannot interrupt the unit it is running; it stops launching at
+    the budget.  A pool takes every pending attempt at once.
     """
     units = list(units)
     started = host_clock()
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    if retries < 0:
-        raise ExperimentError(f"retries must be >= 0, got {retries}")
-    if unit_timeout is not None and unit_timeout <= 0:
-        raise ExperimentError(
-            f"unit_timeout must be positive, got {unit_timeout}"
-        )
     if budget is not None and budget <= 0:
         raise ExperimentError(f"budget must be positive, got {budget}")
-    budget_deadline = started + budget if budget is not None else None
+    deadline = started + budget if budget is not None else None
+    serial = parallel <= 1
     corrupt_before = cache.corrupt_entries if cache is not None else 0
     stats = GridStats(total_units=len(units), workers=max(1, parallel))
     results: List[Optional[ScenarioResult]] = [None] * len(units)
     failures: List[UnitFailure] = []
+    #: observed wall time of every attempt, per unit index
+    attempt_log: Dict[int, List[float]] = {}
 
     def notify(kind: str, index: int) -> None:
         if progress is not None:
@@ -587,8 +545,26 @@ def run_grid(
                 )
             )
 
-    # Cache pass: answer what we can before spinning up any worker.
-    to_run: List[int] = []
+    def fail(index: int, attempts: int, kind: str, error: str, trace: str = "") -> None:
+        failures.append(
+            UnitFailure(
+                index=index,
+                unit=units[index],
+                error=error,
+                traceback=trace,
+                attempts=attempts,
+                kind=kind,
+                attempt_seconds=attempt_log.get(index, []),
+            )
+        )
+        stats.failures += 1
+        if kind == "budget":
+            stats.abandoned += 1
+        notify(_FAILURE_EVENTS[kind], index)
+
+    # Cache pass: answer what we can before launching anything.
+    #: (unit index, attempt number) of every attempt not yet launched
+    pending: Deque[Tuple[int, int]] = deque()
     for index, unit in enumerate(units):
         cached = cache.load(unit) if cache is not None else None
         if cached is not None:
@@ -597,241 +573,126 @@ def run_grid(
             stats.completed += 1
             notify("cache-hit", index)
         else:
-            to_run.append(index)
+            pending.append((index, 1))
 
-    if to_run:
-        executor = _make_executor(parallel, use_threads)
-        in_flight: Dict["Future[Tuple[ScenarioResult, float]]", Tuple[int, int]] = {}
-        #: wall-clock deadline per in-flight attempt (unit_timeout only)
-        deadlines: Dict["Future[Tuple[ScenarioResult, float]]", float] = {}
-        #: launch timestamp per in-flight attempt (attempt_seconds source)
-        launched: Dict["Future[Tuple[ScenarioResult, float]]", float] = {}
-        #: observed wall time of every attempt, per unit index
-        attempt_log: Dict[int, List[float]] = {}
+    executor = _make_executor(parallel)
+    #: (unit index, attempt number, launch time) per running attempt
+    in_flight: Dict["Future[Tuple[ScenarioResult, float]]", Tuple[int, int, float]] = {}
 
-        def log_attempt(index: int, seconds: float) -> None:
-            attempt_log.setdefault(index, []).append(seconds)
+    def void_in_flight() -> List[Tuple[int, int]]:
+        """Kill the pool under every running attempt and rebuild it.
 
-        def submit(index: int, attempt: int) -> None:
-            try:
-                future = executor.submit(_run_timed, run_unit, units[index])
-            except Exception as exc:  # pool broken: fail without retrying
-                failures.append(
-                    UnitFailure(
-                        index=index,
-                        unit=units[index],
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback_module.format_exc(),
-                        attempts=attempt,
-                        attempt_seconds=attempt_log.get(index, []),
-                    )
-                )
-                stats.failures += 1
-                notify("failed", index)
-            else:
-                in_flight[future] = (index, attempt)
-                launched[future] = host_clock()
-                if unit_timeout is not None:
-                    deadlines[future] = host_clock() + unit_timeout
+        Returns the voided attempts; their wall time is logged, since it
+        was genuinely spent.  A process pool gives no per-task kill.
+        """
+        nonlocal executor
+        now = host_clock()
+        voided: List[Tuple[int, int]] = []
+        for index, attempt, launched in in_flight.values():
+            attempt_log.setdefault(index, []).append(now - launched)
+            voided.append((index, attempt))
+        in_flight.clear()
+        processes = getattr(executor, "_processes", None) or {}
+        for process in list(processes.values()):
+            process.terminate()
+        executor.shutdown(wait=False)
+        executor = _make_executor(parallel)
+        return sorted(voided)
 
-        def retry(index: int, attempt: int) -> None:
-            stats.retries += 1
-            notify("retry", index)
-            submit(index, attempt=attempt + 1)
-
-        def drain_pool() -> List[Tuple[int, int]]:
-            """Kill the pool's processes; returns the voided attempts.
-
-            Every in-flight attempt is logged (its wall time was spent)
-            and cleared; the executor is rebuilt.  Thread and inline
-            executors have no processes to kill but are still swapped so
-            the caller can resubmit uniformly.
-            """
-            nonlocal executor
-            now = host_clock()
-            victims: List[Tuple[int, int]] = []
-            for future, (vindex, vattempt) in in_flight.items():
-                victims.append((vindex, vattempt))
-                log_attempt(vindex, now - launched.get(future, now))
-            in_flight.clear()
-            deadlines.clear()
-            launched.clear()
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                process.terminate()
-            executor.shutdown(wait=False)
-            executor = _make_executor(parallel, use_threads)
-            return sorted(victims)
-
-        def kill_hung_workers() -> None:
-            """Tear down the pool under the hung attempts, then rebuild.
-
-            A process pool gives no per-task kill, so every worker dies
-            with the hung ones; surviving in-flight attempts restart from
-            scratch (their work so far is lost, their attempt count and
-            timeout budget reset — the units are pure, so a rerun is
-            safe).  Thread and inline executors have nothing to kill.
-            """
-            if not isinstance(executor, ProcessPoolExecutor):
-                return
-            for index, attempt in drain_pool():
-                submit(index, attempt)
-
-        def recover_from_crash(first_index: int, first_attempt: int) -> None:
-            """A worker process died: rebuild the pool, re-attempt victims.
-
-            Every future on the broken pool fails together, so all
-            in-flight attempts are voided and re-attempted against their
-            retry allowance; units that exhausted it are recorded as
-            ``kind="crash"`` — the structured taxonomy a supervisor needs
-            to tell a dead worker from a bad unit.
-            """
-            stats.worker_crashes += 1
-            victims = sorted(set([(first_index, first_attempt)] + drain_pool()))
-            for index, attempt in victims:
-                if attempt <= retries:
-                    retry(index, attempt)
-                else:
-                    failures.append(
-                        UnitFailure(
-                            index=index,
-                            unit=units[index],
-                            error=(
-                                "worker process died mid-attempt "
-                                "(pool was rebuilt)"
-                            ),
-                            traceback="",
-                            attempts=attempt,
-                            kind="crash",
-                            attempt_seconds=attempt_log.get(index, []),
-                        )
-                    )
-                    stats.failures += 1
-                    notify("crash", index)
-
-        def abandon_pending() -> None:
-            """The run budget expired: record everything pending, stop."""
-            for index, attempt in drain_pool():
-                failures.append(
-                    UnitFailure(
-                        index=index,
-                        unit=units[index],
-                        error=(
-                            f"grid run budget of {budget}s expired before "
-                            "this unit completed"
-                        ),
-                        traceback="",
-                        attempts=attempt,
-                        kind="budget",
-                        attempt_seconds=attempt_log.get(index, []),
-                    )
-                )
-                stats.failures += 1
-                stats.abandoned += 1
-                notify("abandoned", index)
-
+    def launch(index: int, attempt: int) -> None:
+        """Submit one attempt; a submit that raises fails the unit."""
+        launched = host_clock()
         try:
-            for index in to_run:
-                submit(index, attempt=1)
+            future = executor.submit(_run_timed, run_unit, units[index])
+        except Exception as exc:  # pool broken: fail without retrying
+            fail(
+                index,
+                attempt,
+                "error",
+                f"{type(exc).__name__}: {exc}",
+                traceback_module.format_exc(),
+            )
+        else:
+            in_flight[future] = (index, attempt, launched)
 
-            while in_flight:
-                if budget_deadline is not None and host_clock() >= budget_deadline:
-                    abandon_pending()
-                    break
-                wait_timeout: Optional[float] = None
-                now = host_clock()
-                if deadlines:
-                    wait_timeout = max(0.0, min(deadlines.values()) - now)
-                if budget_deadline is not None:
-                    until_budget = max(0.0, budget_deadline - now)
-                    wait_timeout = (
-                        until_budget
-                        if wait_timeout is None
-                        else min(wait_timeout, until_budget)
+    try:
+        while pending or in_flight:
+            # 1. Budget: at expiry, record every unit without a result.
+            if deadline is not None and host_clock() >= deadline:
+                unfinished = void_in_flight() + [
+                    (index, attempt - 1) for index, attempt in pending
+                ]
+                for index, attempts in sorted(unfinished):
+                    fail(
+                        index,
+                        attempts,
+                        "budget",
+                        f"grid run budget of {budget}s expired before this "
+                        "unit completed",
                     )
-                done, _ = wait(
-                    set(in_flight),
-                    timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    if future not in in_flight:
-                        continue  # voided by a pool rebuild this sweep
-                    index, attempt = in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    now = host_clock()
-                    elapsed = now - launched.pop(future, now)
-                    try:
-                        payload, seconds = future.result()
-                        validate_unit_result(units[index], payload)
-                    except BrokenProcessPool:
-                        log_attempt(index, elapsed)
-                        recover_from_crash(index, attempt)
-                        break  # in_flight was voided; re-enter the wait loop
-                    except Exception as exc:  # raised in worker or validation
-                        log_attempt(index, elapsed)
-                        if attempt <= retries:
-                            retry(index, attempt)
-                        else:
-                            failures.append(
-                                UnitFailure(
-                                    index=index,
-                                    unit=units[index],
-                                    error=f"{type(exc).__name__}: {exc}",
-                                    traceback="".join(
-                                        traceback_module.format_exception(
-                                            type(exc), exc, exc.__traceback__
-                                        )
-                                    ),
-                                    attempts=attempt,
-                                    attempt_seconds=attempt_log.get(index, []),
-                                )
-                            )
-                            stats.failures += 1
-                            notify("failed", index)
+                break
+            # 2. Launch: a pool takes every pending attempt, serial one.
+            while pending and not (serial and in_flight):
+                launch(*pending.popleft())
+            if not in_flight:
+                break  # every launch failed
+            # 3. Wait for an attempt to finish, or for the budget.
+            timeout = None if deadline is None else max(0.0, deadline - host_clock())
+            done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
+            # 4. Handle what finished, in unit order.
+            retries: List[Tuple[int, int]] = []
+            crashed: List[Tuple[int, int]] = []
+            for future in sorted(done, key=lambda f: in_flight[f][0]):
+                index, attempt, launched = in_flight.pop(future)
+                attempt_log.setdefault(index, []).append(host_clock() - launched)
+                try:
+                    payload, seconds = future.result()
+                    validate_unit_result(units[index], payload)
+                except BrokenProcessPool:
+                    crashed.append((index, attempt))
+                except Exception as exc:  # raised in worker or validation
+                    if attempt <= RETRIES:
+                        retries.append((index, attempt))
                     else:
-                        log_attempt(index, seconds)
-                        results[index] = payload
-                        stats.completed += 1
-                        stats.unit_seconds += seconds
-                        if cache is not None:
-                            cache.store(units[index], payload)  # simlint: ignore[SIM101] (the host clock only bounds how long wait() blocks; the payload is the worker's result)
-                        notify("done", index)
-
-                # Timeout sweep: declare every overdue attempt hung.
-                if deadlines:
-                    now = host_clock()
-                    expired = sorted(
-                        (in_flight[future], future)
-                        for future, deadline in deadlines.items()
-                        if deadline <= now and not future.done()
-                    )
-                    for (index, attempt), future in expired:
-                        in_flight.pop(future, None)
-                        deadlines.pop(future, None)
-                        log_attempt(index, now - launched.pop(future, now))
-                        future.cancel()  # no-op once running; frees queued ones
-                        failures.append(
-                            UnitFailure(
-                                index=index,
-                                unit=units[index],
-                                error=(
-                                    f"unit exceeded its {unit_timeout}s "
-                                    "wall-clock timeout"
-                                ),
-                                traceback="",
-                                attempts=attempt,
-                                kind="timeout",
-                                attempt_seconds=attempt_log.get(index, []),
-                            )
+                        fail(
+                            index,
+                            attempt,
+                            "error",
+                            f"{type(exc).__name__}: {exc}",
+                            "".join(
+                                traceback_module.format_exception(
+                                    type(exc), exc, exc.__traceback__
+                                )
+                            ),
                         )
-                        stats.failures += 1
-                        stats.timeouts += 1
-                        notify("timeout", index)
-                    if expired:
-                        kill_hung_workers()
-        finally:
-            executor.shutdown(wait=True)
+                else:
+                    results[index] = payload
+                    stats.completed += 1
+                    stats.unit_seconds += seconds
+                    if cache is not None:
+                        cache.store(units[index], payload)  # simlint: ignore[SIM101] (the host clock only bounds how long wait() blocks; the payload is the worker's result)
+                    notify("done", index)
+            if crashed:
+                # A dead worker fails every future of its pool together.
+                stats.worker_crashes += 1
+                for index, attempt in sorted(crashed + void_in_flight()):
+                    if attempt <= RETRIES:
+                        retries.append((index, attempt))
+                    else:
+                        fail(
+                            index,
+                            attempt,
+                            "crash",
+                            "worker process died mid-attempt (pool was rebuilt)",
+                        )
+            # Retries go to the front of the queue: they launch next.
+            retries.sort()
+            for index, _ in retries:
+                stats.retries += 1
+                notify("retry", index)
+            pending.extendleft((index, attempt + 1) for index, attempt in reversed(retries))
+    finally:
+        executor.shutdown(wait=True)
 
     failures.sort(key=lambda f: f.index)
     if cache is not None:
@@ -861,13 +722,13 @@ __all__ = [
     "GridReport",
     "GridStats",
     "ProgressEvent",
+    "RETRIES",
     "ResultCache",
     "UnitFailure",
     "UnitResultError",
     "WorkUnit",
     "canonical_config",
     "default_cache_salt",
-    "derive_unit_seed",
     "execute_unit",
     "grid_of",
     "run_grid",

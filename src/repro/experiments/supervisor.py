@@ -17,7 +17,7 @@ module supervises a grid so that neither happens:
   the schema version, the cache salt, and every unit's canonical
   config, seed, scheduler set, fingerprint, and final status.
   :func:`resume_run` rebuilds the exact same units from it — same
-  fingerprints, same unit seeds — and re-runs the grid: completed units
+  fingerprints, same replicate seeds — and re-runs the grid: completed units
   come straight from the result cache, interrupted ones restore from
   their checkpoints and run only the remaining simulated time.
 
@@ -31,7 +31,7 @@ module supervises a grid so that neither happens:
   ``True`` the report degrades gracefully.
 
 Determinism contract: checkpointing is a pure side effect — a
-supervised run's results, unit seeds, and cache keys are byte-identical
+supervised run's results, replicate seeds, and cache keys are byte-identical
 to a plain ``run_grid`` of the same units, whether or not any
 checkpoint was ever written or restored (the parity suite asserts the
 restore half; the neutrality tests assert the rest).
@@ -354,8 +354,9 @@ def run_supervised(
     continues instead of restarting (checkpoint-then-stop).  With
     ``allow_partial=False`` any ``failed``/``abandoned`` unit raises
     :class:`GridExecutionError` after the manifest is written; with
-    ``True`` the caller gets the full structured report.  Units run with
-    :func:`repro.experiments.parallel.run_grid`'s default retry policy.
+    ``True`` the caller gets the full structured report.  Units get
+    :func:`repro.experiments.parallel.run_grid`'s one retry
+    (:data:`repro.experiments.parallel.RETRIES`).
     """
     units = list(units)
     root = Path(run_dir)

@@ -4,7 +4,7 @@ The simulator's determinism contract (enforced by simlint's SIM001) bans
 wall-clock reads anywhere scheduling or allocation decisions are made:
 simulated time must come from the event clock.  Measuring how long an
 *experiment* took on the host is a different thing — it feeds progress
-bars, worker-utilization reports, per-unit timeouts, run budgets and
+bars, worker-utilization reports, run budgets and
 cache speedup numbers, and never flows back into a simulation.
 
 All wall-clock access of the experiments package is concentrated here so

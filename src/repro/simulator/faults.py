@@ -13,9 +13,9 @@ Determinism contract (the chaos test suite asserts all of it):
 * Fault timelines are **pure functions** of ``(profile, topology,
   horizon)``.  All randomness flows through a *blake2b-derived fault
   stream* — a stateless, counter-indexed hash construction in the same
-  discipline as :func:`repro.experiments.parallel.derive_unit_seed` — so
-  identical seeds produce bit-identical timelines regardless of process,
-  platform, worker count, or call order.
+  discipline as :meth:`repro.experiments.parallel.WorkUnit.fingerprint` —
+  so identical seeds produce bit-identical timelines regardless of
+  process, platform, worker count, or call order.
 * The injector consumes no wall-clock time and no global RNG state; the
   per-round HR channel dispositions are hash-indexed by round number, not
   drawn from a stateful generator, so they cannot drift when the event

@@ -20,15 +20,12 @@ surface their degradation/recovery counters through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.simulator.bandwidth.engine import EngineStats
 from repro.simulator.faults import FaultStats
 from repro.simulator.invariants import InvariantChecker, InvariantReport
 from repro.simulator.runtime import CoflowSimulation, SimulationResult
-
-if TYPE_CHECKING:  # import-only: the experiments layer sits above this one
-    from repro.experiments.parallel import GridReport
 
 
 @dataclass
@@ -86,22 +83,6 @@ def allocation_counters(result: SimulationResult) -> AllocationCounters:
         rows_updated=stats.delta_updates,
         full_rebuilds=stats.full_rebuilds,
     )
-
-
-def parallel_counters(report: "GridReport") -> Dict[str, float]:
-    """The parallel experiment engine's counters, as one flat snapshot.
-
-    Units completed vs total, cache hits, retries, failures, and how
-    busy the worker pool was: the
-    :meth:`repro.experiments.parallel.GridStats.counters` snapshot, with
-    the two unit counts named ``units_total`` / ``units_completed``.
-    """
-    counters = report.stats.counters()
-    return {
-        "units_total": counters.pop("total_units"),
-        "units_completed": counters.pop("completed"),
-        **counters,
-    }
 
 
 def fault_counters(result: SimulationResult) -> Dict[str, float]:

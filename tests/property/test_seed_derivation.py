@@ -1,10 +1,11 @@
-"""Property tests for the engine's seed-derivation and fingerprint contract.
+"""Property tests for the engine's unit-identity contract.
 
-The parallel engine promises that a unit's derived seed and cache
-fingerprint are pure functions of the unit — stable across submission
-orderings and pool sizes, insensitive to how the config's fields were
-supplied, unique across distinct units, and colliding only for equal
-configurations.  Hypothesis hunts for counterexamples.
+A unit's identity and cache key is :meth:`WorkUnit.fingerprint`.  The
+parallel engine promises that it is a pure function of the unit —
+stable across submission orderings and pool sizes, insensitive to how
+the config's fields were supplied, unique across distinct units, and
+colliding only for equal configurations.  Hypothesis hunts for
+counterexamples.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.common import ScenarioConfig
-from repro.experiments.parallel import (
-    WorkUnit,
-    canonical_config,
-    derive_unit_seed,
-)
+from repro.experiments.parallel import WorkUnit, canonical_config
 
 #: Field strategies kept small enough to explore combinations densely.
 CONFIG_KWARGS = {
@@ -47,9 +44,16 @@ scheduler_sets = st.sampled_from(
 
 
 class TestDerivedSeeds:
+    """The fingerprint as a function of the replicate seed and config.
+
+    The fingerprint is the one value the engine derives from a unit's
+    seed; these are the properties a per-unit derived value must have.
+    """
+
     @given(config=configs, seed=replicate_seeds)
     def test_deterministic_across_calls(self, config, seed):
-        assert derive_unit_seed(config, seed) == derive_unit_seed(config, seed)
+        unit = WorkUnit(config=config, seed=seed)
+        assert unit.fingerprint() == unit.fingerprint()
 
     @given(
         kwargs=st.fixed_dictionaries(CONFIG_KWARGS),
@@ -59,13 +63,13 @@ class TestDerivedSeeds:
     def test_insensitive_to_config_field_order(
         self, kwargs, seed, shuffle_seed
     ):
-        """Supplying the same fields in any dict order derives one seed."""
+        """Supplying the same fields in any dict order gives one key."""
         items = list(kwargs.items())
         random.Random(shuffle_seed).shuffle(items)
         reordered = ScenarioConfig(**dict(items))
-        assert derive_unit_seed(reordered, seed) == derive_unit_seed(
-            ScenarioConfig(**kwargs), seed
-        )
+        assert WorkUnit(config=reordered, seed=seed).fingerprint() == WorkUnit(
+            config=ScenarioConfig(**kwargs), seed=seed
+        ).fingerprint()
         assert canonical_config(reordered) == canonical_config(
             ScenarioConfig(**kwargs)
         )
@@ -77,18 +81,18 @@ class TestDerivedSeeds:
         ),
     )
     def test_unique_across_replicate_seeds(self, config, seeds):
-        derived = [derive_unit_seed(config, seed) for seed in seeds]
-        assert len(set(derived)) == len(seeds)
+        keys = [WorkUnit(config=config, seed=seed).fingerprint() for seed in seeds]
+        assert len(set(keys)) == len(seeds)
 
     @given(config=configs, other=configs, seed=replicate_seeds)
     def test_unique_across_distinct_configs(self, config, other, seed):
         same = config.with_overrides(seed=seed) == other.with_overrides(
             seed=seed
         )
-        derived_equal = derive_unit_seed(config, seed) == derive_unit_seed(
-            other, seed
+        keys_equal = WorkUnit(config=config, seed=seed).fingerprint() == (
+            WorkUnit(config=other, seed=seed).fingerprint()
         )
-        assert derived_equal == same
+        assert keys_equal == same
 
     @given(
         config=configs,
@@ -99,24 +103,23 @@ class TestDerivedSeeds:
     def test_stable_across_orderings_and_pool_sizes(
         self, config, seeds, shuffle_seed
     ):
-        """Position in the grid and worker count never leak into seeds."""
+        """Position in the grid and worker count never leak into keys."""
         units = [WorkUnit(config=config, seed=seed) for seed in seeds]
-        by_seed = {unit.seed: unit.derived_seed for unit in units}
+        by_seed = {unit.seed: unit.fingerprint() for unit in units}
         shuffled = list(units)
         random.Random(shuffle_seed).shuffle(shuffled)
         for unit in shuffled:  # any iteration order, any "pool size"
-            assert unit.derived_seed == by_seed[unit.seed]
+            assert unit.fingerprint() == by_seed[unit.seed]
 
     def test_derivation_algorithm_is_pinned(self):
         """A golden value guards against silent algorithm changes.
 
         Changing the canonical encoding or hash would silently split the
-        result cache and reshuffle any derived-seed consumers; this pin
+        result cache and orphan every supervised run's manifest; this pin
         makes that an explicit, reviewed decision.
         """
-        assert (
-            derive_unit_seed(ScenarioConfig(), 1) == GOLDEN_DEFAULT_SEED_1
-        )
+        unit = WorkUnit(config=ScenarioConfig(), seed=1)
+        assert unit.fingerprint("golden") == GOLDEN_DEFAULT_FINGERPRINT
 
 
 class TestFingerprints:
@@ -143,9 +146,8 @@ class TestFingerprints:
     def test_salt_changes_fingerprint_but_not_seed(self, config, seed):
         unit = WorkUnit(config=config, seed=seed)
         assert unit.fingerprint("salt-a") != unit.fingerprint("salt-b")
-        # Derived seeds are deliberately salt-free: a version bump must
-        # invalidate caches without reshuffling seeds.
-        assert derive_unit_seed(config, seed) == unit.derived_seed
+        # The salt namespaces the cache; the workload seed never sees it.
+        assert unit.effective_config().seed == seed
 
     @given(config=configs, seed=replicate_seeds)
     def test_scheduler_set_is_part_of_the_identity(self, config, seed):
@@ -154,9 +156,9 @@ class TestFingerprints:
             config=config, seed=seed, schedulers=("pfs", "gurita")
         )
         assert narrow.fingerprint() != wide.fingerprint()
-        assert narrow.derived_seed != wide.derived_seed
 
 
-#: blake2b over the canonical default-config identity with seed 1 —
-#: recompute only on a deliberate, documented derivation change.
-GOLDEN_DEFAULT_SEED_1 = 2630020748374412737
+#: The fingerprint of ``WorkUnit(ScenarioConfig(), seed=1)`` under the
+#: salt ``"golden"`` — recompute only on a deliberate, documented
+#: change to the canonical encoding or hash.
+GOLDEN_DEFAULT_FINGERPRINT = "17980944e0eda1922fe932a3419be3c0"

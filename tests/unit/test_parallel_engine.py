@@ -1,14 +1,14 @@
 """Engine unit tests: fault injection, cache robustness, lint cleanliness.
 
-Fault-injection matrix (thread pool shares memory, so injected task
-callables can count attempts): a unit that raises is retried exactly
-once and lands in the structured ``failures`` report with its offending
-config; a corrupt payload is caught by validation and treated the same;
-transient faults are rescued by the retry; sibling units always
-complete.  A real process-pool crash is exercised via an unknown
-scheduler name.  Finally, the engine module itself must be free of
-SIM001/SIM002 (wall-clock / unseeded-randomness) findings *even when
-linted under the simulator scope*.
+Fault-injection matrix (a serial grid runs its units in this process,
+so injected task callables can count attempts): a unit that raises is
+retried exactly once and lands in the structured ``failures`` report
+with its offending config; a corrupt payload is caught by validation
+and treated the same; transient faults are rescued by the retry;
+sibling units always complete.  A real process-pool crash is exercised
+via an unknown scheduler name.  Finally, the engine module itself must
+be free of SIM001/SIM002 (wall-clock / unseeded-randomness) findings
+*even when linted under the simulator scope*.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from repro.experiments.parallel import (
     validate_unit_result,
 )
 from repro.metrics.serialize import grid_report_to_dict
-from repro.simulator.observability import parallel_counters
 from tools.simlint.runner import lint_paths, lint_source, select_rules
 
 TINY = ScenarioConfig(num_jobs=2, fattree_k=4, seed=5)
 BOOM = TINY.with_overrides(name="boom")
 PAIR = ("pfs", "gurita")
 
-#: Attempt counts per unit, shared with thread-pool workers.
+#: Attempt counts per unit, shared with the serial grid's in-process runs.
 ATTEMPTS: Counter = Counter()
 
 
@@ -77,9 +76,7 @@ def _units():
 
 class TestFaultInjection:
     def test_crash_retries_exactly_once_then_lands_in_failures(self):
-        report = run_grid(
-            _units(), parallel=2, use_threads=True, run_unit=crash_marked
-        )
+        report = run_grid(_units(), run_unit=crash_marked)
         # Exactly one retry: the failing unit ran twice, no more.
         assert ATTEMPTS["boom"] == 2
         assert report.stats.retries == 1
@@ -100,9 +97,7 @@ class TestFaultInjection:
         assert "boom" in str(excinfo.value)
 
     def test_transient_crash_is_rescued_by_the_retry(self):
-        report = run_grid(
-            _units(), parallel=2, use_threads=True, run_unit=crash_marked_once
-        )
+        report = run_grid(_units(), run_unit=crash_marked_once)
         assert ATTEMPTS["boom"] == 2
         assert report.stats.retries == 1
         assert report.stats.failures == 0
@@ -110,9 +105,7 @@ class TestFaultInjection:
         assert len(report.scenario_results()) == 3
 
     def test_corrupt_payload_fails_validation_and_is_reported(self):
-        report = run_grid(
-            _units(), parallel=2, use_threads=True, run_unit=corrupt_marked
-        )
+        report = run_grid(_units(), run_unit=corrupt_marked)
         assert ATTEMPTS["boom"] == 2  # corrupt payloads are retried too
         assert report.stats.failures == 1
         assert "UnitResultError" in report.failures[0].error
@@ -135,12 +128,10 @@ class TestFaultInjection:
     def test_failure_report_is_structured_and_json_safe(self):
         import json
 
-        report = run_grid(
-            _units(), parallel=2, use_threads=True, run_unit=crash_marked
-        )
-        record = report.failure_report()
-        assert record["failed"] == 1
-        assert record["completed"] == 2
+        report = run_grid(_units(), run_unit=crash_marked)
+        record = grid_report_to_dict(report)
+        assert record["stats"]["failures"] == 1
+        assert record["stats"]["completed"] == 2
         assert record["failures"][0]["attempts"] == 2
         json.dumps(record)  # must not raise
 
@@ -224,9 +215,7 @@ class TestValidation:
 
 class TestReportSurfaces:
     def test_grid_report_to_dict_carries_failures_and_stats(self):
-        report = run_grid(
-            _units(), parallel=2, use_threads=True, run_unit=crash_marked
-        )
+        report = run_grid(_units(), run_unit=crash_marked)
         record = grid_report_to_dict(report)
         assert record["results"][1] is None  # the failed unit's slot
         assert record["results"][0] is not None
@@ -237,9 +226,9 @@ class TestReportSurfaces:
 
     def test_parallel_counters_snapshot(self):
         report = run_grid(_units()[:2], parallel=1, run_unit=crash_marked_once)
-        counters = parallel_counters(report)
-        assert counters["units_total"] == 2.0
-        assert counters["units_completed"] == 2.0
+        counters = report.stats.counters()
+        assert counters["total_units"] == 2
+        assert counters["completed"] == 2
         assert counters["retries"] == 1.0
         assert counters["failures"] == 0.0
         assert 0.0 <= counters["worker_utilization"] <= 1.0

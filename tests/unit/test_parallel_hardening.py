@@ -1,23 +1,28 @@
-"""Failure-isolation hardening of the parallel grid engine.
+"""Failure isolation of the parallel grid engine's launch loop.
 
-Covers the robustness additions: the per-unit wall-clock timeout,
-hung-worker termination with pool rebuild, corrupt-cache quarantine,
-per-attempt wall-time records, and the structured ``UnitFailure`` kinds.
+Covers the serial path's run budget and its store-before-next order,
+worker deaths and budget kills on a real 2-process pool, corrupt-cache
+quarantine, per-attempt wall-time records, and the structured
+``UnitFailure`` kinds.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import parallel
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.experiments.parallel import (
     ResultCache,
     WorkUnit,
     run_grid,
 )
+
 
 #: Empty scheduler set: result validation accepts a bare ScenarioResult,
 #: letting these tests use stub runners instead of real simulations.
@@ -31,83 +36,117 @@ def _ok(unit: WorkUnit) -> ScenarioResult:
     return ScenarioResult(config=unit.config)
 
 
-def _hang_first_unit(unit: WorkUnit) -> ScenarioResult:
-    if unit.config.name == "hang":
-        time.sleep(60.0)
+def _sleep(unit: WorkUnit) -> ScenarioResult:
+    time.sleep(30.0)
     return ScenarioResult(config=unit.config)
 
 
-def _always_hang(unit: WorkUnit) -> ScenarioResult:
-    time.sleep(60.0)
+def _die_once(unit: WorkUnit) -> ScenarioResult:
+    """Kill the worker on the first attempt; the unit's name is a marker
+    file path, which outlives the worker so the retry can see it."""
+    marker = Path(unit.config.name)
+    if not marker.exists():
+        marker.touch()
+        os._exit(1)
     return ScenarioResult(config=unit.config)
+
+
+def _die(unit: WorkUnit) -> ScenarioResult:
+    os._exit(1)
 
 
 class TestParameterValidation:
-    def test_negative_retries_rejected(self):
+    def test_nonpositive_budget_rejected(self):
         with pytest.raises(ExperimentError):
-            run_grid([_unit("a")], retries=-1, run_unit=_ok)
-
-    def test_nonpositive_timeout_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_grid([_unit("a")], unit_timeout=0.0, run_unit=_ok)
+            run_grid([_unit("a")], run_unit=_ok, budget=0.0)
 
 
-class TestUnitTimeout:
-    def test_hung_process_worker_is_killed_and_pool_rebuilt(self):
-        units = [_unit("hang")] + [_unit(f"ok{i}") for i in range(3)]
+class TestSerialGrid:
+    def test_budget_keeps_finished_units_and_abandons_the_rest(
+        self, monkeypatch, tmp_path
+    ):
+        now = [0.0]
+        monkeypatch.setattr(parallel, "host_clock", lambda: now[0])
+
+        def one_second(unit: WorkUnit) -> ScenarioResult:
+            now[0] += 1.0
+            return ScenarioResult(config=unit.config)
+
+        units = [_unit(f"u{i}") for i in range(4)]
+        cache = ResultCache(tmp_path)
+        report = run_grid(units, cache=cache, run_unit=one_second, budget=2.5)
+        # Units launch at t=0, 1 and 2; the fourth would launch at t=3.
+        assert [r is not None for r in report.results] == [True, True, True, False]
+        assert [cache.load(u) is not None for u in units] == [True, True, True, False]
+        (failure,) = report.failures
+        assert failure.index == 3
+        assert failure.kind == "budget"
+        assert failure.attempts == 0
+        assert failure.attempt_seconds == []
+        assert report.stats.abandoned == report.stats.failures == 1
+        assert report.stats.completed == 3
+
+    def test_each_unit_is_stored_before_the_next_starts(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        units = [_unit(f"u{i}") for i in range(3)]
+        cached_at_start = []
+
+        def record(unit: WorkUnit) -> ScenarioResult:
+            cached_at_start.append([cache.load(u) is not None for u in units])
+            return ScenarioResult(config=unit.config)
+
+        report = run_grid(units, cache=cache, run_unit=record)
+        assert report.ok
+        assert cached_at_start == [
+            [False, False, False],
+            [True, False, False],
+            [True, True, False],
+        ]
+
+
+class TestProcessPool:
+    def test_worker_death_is_retried_on_a_rebuilt_pool(self, tmp_path):
+        unit = _unit(str(tmp_path / "died-once"))
+        report = run_grid([unit], parallel=2, run_unit=_die_once)
+        assert report.ok
+        assert report.results[0] is not None
+        assert report.stats.worker_crashes == 1
+        assert report.stats.retries == 1
+
+    def test_worker_that_always_dies_lands_as_crash(self):
+        report = run_grid([_unit("dies")], parallel=2, run_unit=_die)
+        (failure,) = report.failures
+        assert failure.kind == "crash"
+        assert failure.attempts == 2
+        assert len(failure.attempt_seconds) == 2
+        assert report.stats.worker_crashes == 2
+
+    def test_budget_kills_running_workers(self):
+        units = [_unit(f"sleep{i}") for i in range(3)]
         events = []
         started = time.monotonic()
         report = run_grid(
             units,
             parallel=2,
-            unit_timeout=1.0,
-            run_unit=_hang_first_unit,
-            progress=lambda e: events.append((e.kind, e.index)),
+            run_unit=_sleep,
+            budget=1.0,
+            progress=lambda e: events.append(e.kind),
         )
-        elapsed = time.monotonic() - started
-        # The hung worker must not stall the grid for its full 60s sleep.
-        assert elapsed < 30.0
-        assert report.stats.timeouts == 1
-        assert report.stats.failures == 1
-        assert report.stats.completed == 3
-        (failure,) = report.failures
-        assert failure.kind == "timeout"
-        assert failure.index == 0
-        assert "timeout" in failure.error
-        assert ("timeout", 0) in events
+        # The workers are terminated, not waited for.
+        assert time.monotonic() - started < 15.0
+        assert [f.kind for f in report.failures] == ["budget"] * 3
+        assert [f.index for f in report.failures] == [0, 1, 2]
+        assert report.stats.abandoned == 3
+        assert report.stats.completed == 0
+        assert events.count("abandoned") == 3
 
-    def test_timeouts_are_not_retried(self):
-        report = run_grid(
-            [_unit("hang")],
-            parallel=2,
-            retries=3,
-            unit_timeout=0.5,
-            run_unit=_always_hang,
-        )
-        assert report.stats.timeouts == 1
-        assert report.stats.retries == 0
-        assert report.failures[0].kind == "timeout"
 
-    def test_fast_units_unaffected_by_timeout(self):
-        report = run_grid(
-            [_unit(f"u{i}") for i in range(4)],
-            parallel=2,
-            unit_timeout=30.0,
-            run_unit=_ok,
-            use_threads=True,
-        )
-        assert report.ok
-        assert report.stats.timeouts == 0
-        assert report.stats.completed == 4
-
+class TestFailureKinds:
     def test_error_failures_keep_kind_error(self):
         def boom(unit: WorkUnit) -> ScenarioResult:
             raise ValueError("broken unit")
 
-        report = run_grid(
-            [_unit("boom")], retries=0, run_unit=boom, use_threads=True,
-            parallel=2,
-        )
+        report = run_grid([_unit("boom")], run_unit=boom)
         (failure,) = report.failures
         assert failure.kind == "error"
         assert "broken unit" in failure.error
@@ -119,27 +158,12 @@ class TestAttemptWallTimes:
         def boom(unit: WorkUnit) -> ScenarioResult:
             raise ValueError("always broken")
 
-        report = run_grid(
-            [_unit("boom")], retries=2, run_unit=boom, use_threads=True,
-            parallel=2,
-        )
+        report = run_grid([_unit("boom")], run_unit=boom)
         (failure,) = report.failures
-        assert failure.attempts == 3
-        assert len(failure.attempt_seconds) == 3
+        assert failure.attempts == 2
+        assert len(failure.attempt_seconds) == 2
         assert all(seconds >= 0.0 for seconds in failure.attempt_seconds)
         assert failure.to_dict()["attempt_seconds"] == failure.attempt_seconds
-
-    def test_timeout_failure_records_attempt_seconds(self):
-        report = run_grid(
-            [_unit("hang")],
-            parallel=2,
-            unit_timeout=0.5,
-            run_unit=_always_hang,
-        )
-        (failure,) = report.failures
-        assert failure.kind == "timeout"
-        assert len(failure.attempt_seconds) == 1
-        assert failure.attempt_seconds[0] >= 0.5
 
 
 class TestCacheQuarantine:
@@ -156,7 +180,7 @@ class TestCacheQuarantine:
         assert not entry.exists()  # moved aside, slot free for rewrite
         assert entry.with_suffix(".corrupt").exists()
 
-        report = run_grid([unit], cache=cache, run_unit=_ok, use_threads=True)
+        report = run_grid([unit], cache=cache, run_unit=_ok)
         assert report.ok
         assert report.stats.cache_corrupt == 0  # quarantined before the run
         assert cache.load(unit) is not None  # recomputed and re-stored
@@ -168,7 +192,7 @@ class TestCacheQuarantine:
         entry = cache.path_for(unit)
         entry.write_bytes(b"\x80\x04garbage")
 
-        report = run_grid([unit], cache=cache, run_unit=_ok, use_threads=True)
+        report = run_grid([unit], cache=cache, run_unit=_ok)
         assert report.ok
         assert report.stats.cache_corrupt == 1
 
