@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench bench-check bench-suite bench-suite-check bench-pairs gap gap-golden all
+.PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench-suite bench-suite-check bench-pairs gap gap-golden all
 
 ## Everything static in one command: all four simlint layers in one
 ## pass (per-file SIM001-SIM006, whole-program --deep SIM101-SIM106,
@@ -72,18 +72,6 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/unit -x -q
 
-## Re-capture the committed performance trajectory: writes the next
-## BENCH_<n+1>.json after the latest committed artifact.  Run on an
-## otherwise-idle machine; takes a few minutes.
-bench:
-	$(PYTHON) benchmarks/perf_trajectory.py --out
-
-## What the perf-smoke CI job runs: the small pinned workload against
-## the latest committed BENCH_<n>.json (auto-discovered;
-## REPRO_PERF_TOLERANCE overrides the 20% band).
-bench-check:
-	$(PYTHON) benchmarks/perf_trajectory.py --check --workloads scal-k4
-
 ## The layered benchmark suite (benchmarks/suite/README.md): every
 ## workload once, each in its own child interpreter, end-to-end and
 ## per-layer metrics written to .bench_build/suite.json.  Several
@@ -102,6 +90,9 @@ bench-suite-check:
 ## end-to-end metric's medians, quartiles, wins, gain verdict and bound:
 ## make bench-pairs W=tpcds-k4 PARENT=HEAD~1 [N=10] [SEED=42].  PARENT
 ## is checked out as a git worktree under .bench_build/ for the run.
+## Exits 1 when a median is worse than its BENCHMARK.json bound or this
+## tree's runs failed more often than PARENT's; the perf-smoke CI job
+## runs it with W=tpcds-k4 N=5 against the base commit.
 bench-pairs: N ?= 10
 bench-pairs: SEED ?= 42
 bench-pairs:

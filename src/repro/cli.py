@@ -277,7 +277,10 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--checkpoint-every", type=float, default=None, metavar="SECONDS",
         help="checkpoint each in-flight simulation every SECONDS of "
-        "simulated time (requires --run-dir; default: no checkpoints)",
+        "simulated time (requires --run-dir; default: no checkpoints). "
+        "Each write pickles the whole simulation and the number of writes "
+        "follows the simulated makespan, so a small cadence can cost "
+        "more than the run itself",
     )
     sub.add_argument(
         "--run-budget", type=float, default=None, metavar="SECONDS",

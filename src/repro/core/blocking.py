@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.floatsum import ordered_sum
 from repro.jobs.coflow import Coflow
 from repro.jobs.job import Job
 
@@ -154,13 +155,7 @@ def psi_from_observation(
 
 def job_stage_psi(coflow_psis: Iterable[float]) -> float:
     """Ψ_J(s): the job's per-stage blocking effect — the sum over its
-    coflows in that stage (paper §IV.B).
-
-    Added left to right on purpose: from Python 3.12 on, builtin ``sum``
-    compensates float rounding, so it would classify differently across
-    the supported interpreters.
+    coflows in that stage (paper §IV.B), added left to right so that it
+    classifies alike on every supported interpreter.
     """
-    total = 0.0
-    for psi in coflow_psis:
-        total += psi
-    return total
+    return ordered_sum(coflow_psis)

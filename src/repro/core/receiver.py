@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.flowtable import FlowTable, five_tuple_for_flow
+from repro.floatsum import ordered_sum
 from repro.jobs.coflow import Coflow
 from repro.jobs.flow import Flow
 
@@ -209,7 +210,7 @@ class ObservationPlane:
             out[coflow_id] = CoflowObservation(
                 coflow_id=coflow_id,
                 open_connections=sum(e[0] for e in entries),
-                bytes_received=sum(e[1] for e in entries),
+                bytes_received=ordered_sum(e[1] for e in entries),
                 max_flow_bytes=max((e[2] for e in entries), default=0.0),
                 num_flows=sum(e[3] for e in entries),
             )

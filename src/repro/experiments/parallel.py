@@ -603,7 +603,10 @@ def run_grid(
         """Submit one attempt; a submit that raises fails the unit."""
         launched = host_clock()
         try:
-            future = executor.submit(_run_timed, run_unit, units[index])
+            # A supervised run's worker carries REPRO_CACHE_SALT (via the
+            # manifest salt): it names checkpoint and partial files and
+            # never reaches seeds or results, as in ResultCache.path_for.
+            future = executor.submit(_run_timed, run_unit, units[index])  # simlint: ignore[SIM103]
         except Exception as exc:  # pool broken: fail without retrying
             fail(
                 index,

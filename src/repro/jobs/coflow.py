@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import InvalidJobError
+from repro.floatsum import ordered_sum
 from repro.jobs.flow import Flow, FlowState
 
 if TYPE_CHECKING:  # annotation-only: a runtime import would cycle
@@ -85,7 +86,7 @@ class Coflow:
     @property
     def total_bytes(self) -> Bytes:
         """Aggregate size of all flows."""
-        return sum(flow.size_bytes for flow in self.flows)
+        return ordered_sum(flow.size_bytes for flow in self.flows)
 
     # ------------------------------------------------------------------
     # Online (observable) quantities, as seen at the receivers.
@@ -93,7 +94,7 @@ class Coflow:
     @property
     def bytes_sent(self) -> Bytes:
         """Bytes delivered so far across all flows."""
-        return sum(flow.bytes_sent for flow in self.flows)
+        return ordered_sum(flow.bytes_sent for flow in self.flows)
 
     @property
     def active_width(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.floatsum import ordered_sum
 from repro.jobs.dag import CoflowDag
 from repro.jobs.job import Job
 
@@ -100,4 +101,4 @@ def path_cost(
     for earlier, later in zip(path, path[1:]):
         if earlier not in dag.dependencies_of(later):
             raise ValueError(f"({earlier}, {later}) is not an edge of the DAG")
-    return sum(cost(cid) for cid in path)
+    return ordered_sum(cost(cid) for cid in path)

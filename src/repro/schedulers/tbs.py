@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.floatsum import ordered_sum
 from repro.jobs.flow import Flow
 from repro.schedulers.base import SchedulerPolicy
 from repro.simulator.bandwidth.request import (
@@ -77,4 +78,4 @@ class StageBytesSjf(TotalBytesSjf):
         running = job.running_coflows()
         if not running:
             return job.total_bytes
-        return sum(c.total_bytes for c in running)
+        return ordered_sum(c.total_bytes for c in running)

@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 import numpy.typing as npt
 
+from repro.floatsum import ordered_sum
 from repro.simulator.bandwidth.maxmin import (
     LinkMembership,
     Route,
@@ -87,11 +88,7 @@ def wrr_weights(loads: Sequence[float], mode: str = "inverse_wait") -> List[floa
         raw = list(waits)
     else:
         raise ValueError(f"unknown WRR weight mode {mode!r}")
-    # Left to right, not builtin sum: from Python 3.12 on, sum()
-    # compensates float rounding and the weights would differ by version.
-    total = 0.0
-    for r in raw:
-        total += r
+    total = ordered_sum(raw)
     if total <= 0:
         return [1.0 / len(raw)] * len(raw)
     return [r / total for r in raw]

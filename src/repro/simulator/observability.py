@@ -1,4 +1,4 @@
-"""Observability: link utilisation, class accounting, engine counters.
+"""Observability: link utilisation, class accounting, run counters.
 
 An optional probe that snapshots the network at every reallocation:
 per-link utilisation, bytes served per priority class, and a starvation
@@ -6,15 +6,12 @@ detector (flows stuck at rate zero).  Used by the ablation benches to
 *show* — rather than assert — that Gurita's WRR emulation removes
 starvation while raw SPQ exhibits it.
 
-Also the reporting surface for the incremental allocation engine:
-:func:`allocation_counters` condenses a run's epoch bookkeeping (epochs
-skipped via the dirty flag, rate-cache hits, incremental rows applied,
-full membership rebuilds) into one :class:`AllocationCounters` snapshot —
-the acceptance metric for the engine is read from here.  Runs with the
-opt-in invariant checker enabled additionally surface their violation
-counters through :func:`invariant_counters`, and fault-injected runs
-surface their degradation/recovery counters through
-:func:`fault_counters`.
+The incremental allocation engine's counters are
+``SimulationResult.engine_stats`` and ``reallocations``/``epochs_skipped``
+on the result itself.  Runs with the opt-in invariant checker enabled
+additionally surface their violation counters through
+:func:`invariant_counters`, and fault-injected runs surface their
+degradation/recovery counters through :func:`fault_counters`.
 """
 
 from __future__ import annotations
@@ -50,39 +47,6 @@ class ClassAccounting:
         cls = priority if priority is not None else 0
         self.bytes_served[cls] = self.bytes_served.get(cls, 0.0) + rate * elapsed
         self.flow_seconds[cls] = self.flow_seconds.get(cls, 0.0) + elapsed
-
-
-@dataclass
-class AllocationCounters:
-    """One run's allocation-epoch bookkeeping, for reports and benches."""
-
-    #: reallocation epochs actually computed
-    reallocations: int
-    #: event batches where the dirty flag let the runtime skip reallocation
-    epochs_skipped: int
-    #: allocations answered from the engine's cached rate vector
-    cache_hits: int
-    #: membership rows touched incrementally (flow add/remove/class move)
-    rows_updated: int
-    #: per-class membership rebuilds triggered by cache invalidation
-    full_rebuilds: int
-
-    @property
-    def skip_fraction(self) -> float:
-        total = self.reallocations + self.epochs_skipped
-        return self.epochs_skipped / total if total else 0.0
-
-
-def allocation_counters(result: SimulationResult) -> AllocationCounters:
-    """Condense a result's engine statistics into one counter snapshot."""
-    stats = result.engine_stats
-    return AllocationCounters(
-        reallocations=result.reallocations,
-        epochs_skipped=result.epochs_skipped,
-        cache_hits=stats.cache_hits,
-        rows_updated=stats.delta_updates,
-        full_rebuilds=stats.full_rebuilds,
-    )
 
 
 def fault_counters(result: SimulationResult) -> Dict[str, float]:

@@ -53,6 +53,15 @@ from repro.simulator.topology.base import Topology
 #: SCHEDULER_UPDATE payload marking a delayed (fault-injected) HR sync.
 _HR_DELAYED_SYNC = "hr-delayed"
 
+# Event kinds bound once for the per-event code: on Python 3.11 each
+# ``EventKind.X`` read goes through a descriptor, several times the cost
+# of a global read, and ``_handle`` compares every event's kind.
+_JOB_ARRIVAL = EventKind.JOB_ARRIVAL
+_FLOW_COMPLETION = EventKind.FLOW_COMPLETION
+_SCHEDULER_UPDATE = EventKind.SCHEDULER_UPDATE
+_FAULT = EventKind.FAULT
+_REPAIR = EventKind.REPAIR
+
 _LOG = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # imported lazily to avoid a package cycle at runtime
@@ -475,23 +484,24 @@ class CoflowSimulation:
     @hot_path
     def _handle(self, event: Event) -> bool:
         """Apply one event; returns True if the active flow set changed."""
-        if event.kind is EventKind.JOB_ARRIVAL:
+        kind = event.kind
+        if kind is _JOB_ARRIVAL:
             job = self.jobs[event.payload]
             self.scheduler.on_job_arrival(job, self._now)
             for coflow in job.arrive(self._now):
                 self._release_coflow(coflow)
             return True
-        if event.kind is EventKind.FLOW_COMPLETION:
+        if kind is _FLOW_COMPLETION:
             # Stale predictions (older epoch) are no-ops; fresh ones are
             # handled by _finish_ripe_flows after the batch drains.
             return event.epoch == self._epoch
-        if event.kind is EventKind.SCHEDULER_UPDATE:
+        if kind is _SCHEDULER_UPDATE:
             return self._handle_scheduler_update(event)
-        if event.kind is EventKind.FAULT:
+        if kind is _FAULT:
             return self._apply_fault_action(event.payload)  # simlint: hot-ok[fault path; runs only on FAULT events]
-        if event.kind is EventKind.REPAIR:
+        if kind is _REPAIR:
             return self._apply_repair_action(event.payload)  # simlint: hot-ok[fault path; runs only on REPAIR events]
-        raise SimulationError(f"unknown event kind {event.kind!r}")
+        raise SimulationError(f"unknown event kind {kind!r}")
 
     def _handle_scheduler_update(self, event: Event) -> bool:
         """One δ-interval coordination round, possibly degraded by faults.
@@ -518,7 +528,7 @@ class CoflowSimulation:
             # timecmp tolerance has_event_within grants around it.
             self._queue.push(
                 self._now + max(interval, 4.0 * self._tick),
-                EventKind.SCHEDULER_UPDATE,
+                _SCHEDULER_UPDATE,
             )
         injector = self.fault_injector
         if (
@@ -534,7 +544,7 @@ class CoflowSimulation:
             if disposition == HR_DELAY:
                 self._queue.push(
                     self._now + max(delay, 4.0 * self._tick),
-                    EventKind.SCHEDULER_UPDATE,
+                    _SCHEDULER_UPDATE,
                     payload=_HR_DELAYED_SYNC,
                 )
                 changed = self.scheduler.on_sync_degraded(self._now)
@@ -829,7 +839,7 @@ class CoflowSimulation:
             # advances the clock; the ripeness test completes such flows.
             next_completion = max(next_completion, self._now + self._tick)
             self._queue.push(
-                next_completion, EventKind.FLOW_COMPLETION, epoch=self._epoch
+                next_completion, _FLOW_COMPLETION, epoch=self._epoch
             )
         elif not self._queue:
             raise SimulationError(

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import List, Sequence, Tuple, Union
 
 from repro.errors import TraceFormatError
+from repro.floatsum import ordered_sum
 from repro.workloads.categories import MB
 
 #: Machine count of the original Facebook trace.
@@ -50,7 +51,7 @@ class TraceCoflow:
 
     @property
     def total_bytes(self) -> float:
-        return sum(size for _machine, size in self.reducers)
+        return ordered_sum(size for _machine, size in self.reducers)
 
     @property
     def num_flows(self) -> int:
@@ -244,7 +245,7 @@ def synthesize_trace(
             mappers = tuple(machines[:-1])
             reducer_hosts = machines[-1:]
         weights = [rng.uniform(0.5, 1.5) for _ in reducer_hosts]
-        weight_sum = sum(weights)
+        weight_sum = ordered_sum(weights)
         reducers = tuple(
             (host, total * w / weight_sum)
             for host, w in zip(reducer_hosts, weights)

@@ -13,6 +13,7 @@ import random
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
+from repro.floatsum import ordered_sum
 from repro.jobs.builder import FlowSpec, IdAllocator, JobBuilder
 from repro.jobs.job import Job
 from repro.workloads.bursty import bursty_arrivals, poisson_arrivals, uniform_arrivals
@@ -76,7 +77,7 @@ def replicate_coflow(
     keep = max(1, round(len(specs) * fraction**0.5))
     if keep < len(specs):
         specs = rng.sample(specs, keep)
-    current_total = sum(size for _src, _dst, size in specs)
+    current_total = ordered_sum(size for _src, _dst, size in specs)
     scale = total_bytes / current_total
     specs = [(src, dst, size * scale) for src, dst, size in specs]
     return remap_specs(specs, num_hosts, rng)
@@ -143,7 +144,7 @@ def jobs_from_trace(
                 if any(dep in remaining for dep in deps_of[node]):
                     continue
                 if weights is not None:
-                    node_total = base.total_bytes * weights[node] / sum(weights)
+                    node_total = base.total_bytes * weights[node] / ordered_sum(weights)
                     sample = base
                 else:
                     sample = trace[rng.randrange(len(trace))]
@@ -212,7 +213,7 @@ def synthesize_workload(
     if duration is None:
         if offered_load <= 0:
             raise WorkloadError("offered_load must be positive")
-        total_bytes = sum(record.total_bytes for record in trace)
+        total_bytes = ordered_sum(record.total_bytes for record in trace)
         # Every byte crosses one uplink and one downlink, hence the 2x.
         aggregate = num_hosts * link_capacity
         duration = max(2.0 * total_bytes / (aggregate * offered_load), 1e-3)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.floatsum import ordered_sum
 from repro.workloads.shapes import DagShape
 
 #: Node indices in the query-42 DAG.
@@ -64,5 +65,5 @@ def query42_shape() -> DagShape:
 
 def query42_volumes(total_bytes: float) -> List[float]:
     """Split a job's total bytes over the 7 nodes per the query's shape."""
-    weight_sum = sum(RELATIVE_VOLUMES)
+    weight_sum = ordered_sum(RELATIVE_VOLUMES)
     return [total_bytes * w / weight_sum for w in RELATIVE_VOLUMES]

@@ -3,10 +3,11 @@
 Every optimisation of the hot path (``__slots__`` hot objects, the ECMP
 decision cache, the incremental-share water-fill) is required to be
 *bit-identical* to the historical implementation — not approximately
-equal.  Two pinned scenarios, every scheduler, hashed with the same
-blake2b-16 scheme as ``benchmarks/fingerprint_figures.py``: the constants
-below were captured on the pre-overhaul tree, and any float divergence
-anywhere in the hot path changes them.
+equal.  Three pinned scenarios (every scheduler on two, ``gurita`` on
+the third), hashed with the same blake2b-16 scheme as
+``benchmarks/fingerprint_figures.py``: the constants below were captured
+on the pre-overhaul tree, and any float divergence anywhere in the hot
+path changes them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ GOLDEN = {
         "pfs": "3ac755bb7d08d6b0b65a9b92893835b4",
         "stream": "59ef80a0778b6139713f0586cfc01cd7",
     },
+    # The small workload of the retired perf_trajectory harness
+    # (BENCH_6/BENCH_9 "scal-k4").
+    "scal-k4": {
+        "gurita": "870ac75a4ce545a9971b523ab60b8a09",
+    },
 }
 
 SCENARIOS = {
@@ -51,6 +57,10 @@ SCENARIOS = {
     "q-tpcds": ScenarioConfig(
         name="q-tpcds", structure="tpcds", num_jobs=15, fattree_k=4, seed=7,
         arrival_mode="bursty",
+    ),
+    "scal-k4": ScenarioConfig(
+        name="scal-k4", structure="fb-tao", num_jobs=20, fattree_k=4, seed=3,
+        schedulers=("gurita",),
     ),
 }
 

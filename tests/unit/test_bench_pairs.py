@@ -1,10 +1,12 @@
-"""The verdict arithmetic of ``tools/bench_pairs.py`` on synthetic pairs."""
+"""The verdict arithmetic and exit status of ``tools/bench_pairs.py`` on
+synthetic pairs."""
 
 from __future__ import annotations
 
 import pytest
 
-from tools.bench_pairs import quartiles, summarize
+from tools import bench_pairs
+from tools.bench_pairs import gate_failures, quartiles, summarize
 
 PARENT = [7.8, 7.1, 8.4, 7.5, 7.9, 9.0, 7.6, 8.1, 7.3, 7.7]
 
@@ -84,3 +86,48 @@ def test_regression_is_judged_on_the_median_against_the_bound():
 def test_unequal_sides_are_rejected():
     with pytest.raises(ValueError):
         run_s(PARENT[:-1])
+
+
+#: Failed and attempted runs per side when nothing failed.
+NO_FAILURES = {"parent": 0, "change": 0}
+RUNS = {"parent": 15, "change": 15}
+
+
+def exit_status(monkeypatch, summaries, failed=NO_FAILURES, attempted=RUNS):
+    """``main``'s exit status with ``run_pairs`` answering synthetic pairs."""
+    monkeypatch.setattr(
+        bench_pairs, "run_pairs", lambda *args: (summaries, failed, attempted)
+    )
+    return bench_pairs.main(["--workload", "tpcds-k4", "--parent", "HEAD"])
+
+
+def test_exit_status_is_0_when_nothing_regressed(monkeypatch):
+    summaries = [run_s([p * 1.2 for p in PARENT])]
+    assert gate_failures(summaries, NO_FAILURES, RUNS) == []
+    assert exit_status(monkeypatch, summaries) == 0
+
+
+def test_exit_status_is_1_on_a_regressed_metric(monkeypatch):
+    summaries = [run_s(list(PARENT)), run_s([p * 1.3 for p in PARENT])]
+    reasons = gate_failures(summaries, NO_FAILURES, RUNS)
+    assert len(reasons) == 1 and reasons[0].startswith("run_s: median change +30.0%")
+    assert exit_status(monkeypatch, summaries) == 1
+
+
+def test_exit_status_is_1_when_the_change_fails_more_often(monkeypatch):
+    summaries = [run_s(list(PARENT))]
+    failed = {"parent": 1, "change": 2}
+    assert gate_failures(summaries, failed, RUNS) == [
+        "failed runs: 2 of 15 vs the parent's 1 of 15"
+    ]
+    assert exit_status(monkeypatch, summaries, failed) == 1
+
+
+def test_failures_are_compared_as_shares_of_the_runs(monkeypatch):
+    # Each side times as many runs as fit its budget, so counts differ.
+    summaries = [run_s(list(PARENT))]
+    failed = {"parent": 1, "change": 2}
+    attempted = {"parent": 10, "change": 20}
+    assert gate_failures(summaries, failed, attempted) == []
+    assert exit_status(monkeypatch, summaries, failed, attempted) == 0
+    assert gate_failures(summaries, failed, {"parent": 10, "change": 19})

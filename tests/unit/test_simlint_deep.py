@@ -602,6 +602,102 @@ class TestInterproceduralPropagation:
 
 
 # ----------------------------------------------------------------------
+# Nested functions
+# ----------------------------------------------------------------------
+#: One environment flow into a worker submission, written inline and
+#: through a nested helper three ways: the helper reads the flow from the
+#: enclosing scope, takes it as an argument, or returns it.
+NESTED_FORMS = {
+    "inline": """
+        import os
+
+        def launch_all(executor, work):
+            salt = os.environ.get("SALT", "x")
+            return executor.submit(work, salt)
+    """,
+    "closure": """
+        import os
+
+        def launch_all(executor, work):
+            salt = os.environ.get("SALT", "x")
+
+            def launch():
+                return executor.submit(work, salt)
+
+            return launch()
+    """,
+    "argument": """
+        import os
+
+        def launch_all(executor, work):
+            def launch(value):
+                return executor.submit(work, value)
+
+            return launch(os.environ.get("SALT", "x"))
+    """,
+    "return": """
+        import os
+
+        def launch_all(executor, work):
+            def salt():
+                return os.environ.get("SALT", "x")
+
+            return executor.submit(work, salt())
+    """,
+}
+
+
+class TestNestedFunctions:
+    @pytest.mark.parametrize("form", sorted(NESTED_FORMS))
+    def test_nesting_does_not_change_the_verdict(self, tmp_path, form):
+        found = deep_findings(tmp_path, {"grid": NESTED_FORMS[form]})
+        assert codes(found) == ["SIM103"]
+        assert "reaches worker submission 'Executor.submit'" in found[0].message
+
+    def test_nested_helper_without_the_flow_is_clean(self, tmp_path):
+        found = deep_findings(
+            tmp_path,
+            {
+                "grid": """
+                    import os
+
+                    def launch_all(executor, work):
+                        salt = os.environ.get("SALT", "x")
+
+                        def launch(value):
+                            return executor.submit(work, value)
+
+                        return launch(len(work)), salt
+                """
+            },
+        )
+        assert found == []
+
+    def test_closure_of_a_closure(self, tmp_path):
+        found = deep_findings(
+            tmp_path,
+            {
+                "grid": """
+                    import time
+
+                    def launch_all(executor, work):
+                        started = time.time()
+
+                        def outer():
+                            def inner():
+                                return executor.submit(work, started)
+
+                            return inner()
+
+                        return outer()
+                """
+            },
+        )
+        assert codes(found) == ["SIM101"]
+        assert "'launch_all.<locals>.outer.<locals>.inner'" in found[0].message
+
+
+# ----------------------------------------------------------------------
 # Module/name resolution
 # ----------------------------------------------------------------------
 class TestCallGraph:

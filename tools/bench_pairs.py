@@ -18,7 +18,11 @@ metric of ``BENCHMARK.json`` it prints:
   parent's interquartile range;
 * the median's relative change against the metric's regression bound.
 
-The worktree is removed when the pairs are done, or when they fail.
+Exit status 1 is the regression gate: some metric's median is worse than
+the parent's beyond its bound, or a larger share of this checkout's runs
+failed their checks than of the parent's.  A claimed gain is reported but
+never gated on.  The worktree is removed when the pairs are done, or when
+they fail.
 """
 
 from __future__ import annotations
@@ -143,6 +147,36 @@ def render(summary: MetricSummary) -> List[str]:
     ]
 
 
+def failure_share(failed: int, attempted: int) -> float:
+    return failed / attempted if attempted else 0.0
+
+
+def gate_failures(
+    summaries: Sequence[MetricSummary],
+    failed: Dict[str, int],
+    attempted: Dict[str, int],
+) -> List[str]:
+    """Why the change fails the regression gate; empty when it passes.
+
+    ``failed`` and ``attempted`` count runs per side (``"parent"``,
+    ``"change"``).
+    """
+    reasons = [
+        f"{s.name}: median change {s.relative_change:+.1%} is worse than "
+        f"its {s.bound:.0%} bound"
+        for s in summaries
+        if s.regressed
+    ]
+    parent = failure_share(failed["parent"], attempted["parent"])
+    change = failure_share(failed["change"], attempted["change"])
+    if change > parent:
+        reasons.append(
+            f"failed runs: {failed['change']} of {attempted['change']} vs the "
+            f"parent's {failed['parent']} of {attempted['parent']}"
+        )
+    return reasons
+
+
 # ----------------------------------------------------------------------
 # Running the pairs
 # ----------------------------------------------------------------------
@@ -178,7 +212,8 @@ def git(*args: str) -> None:
 
 def run_pairs(
     workload: str, parent_rev: str, pairs: int, seed: int
-) -> List[MetricSummary]:
+) -> Tuple[List[MetricSummary], Dict[str, int], Dict[str, int]]:
+    """The summaries, and the failed and attempted runs per side."""
     spec = json.loads(SPEC.read_text(encoding="utf-8"))
     seconds = float(spec["run_seconds"])
     metrics = spec["end_to_end"]
@@ -207,13 +242,14 @@ def run_pairs(
         git("worktree", "remove", "--force", str(WORKTREE))
     for side in ("parent", "change"):
         print(f"{side}: {failed[side]} of {attempted[side]} runs failed")
-    return [
+    summaries = [
         summarize(
             m["name"], m["unit"], m["better"], float(m["bound"]),
             samples["parent"][m["name"]], samples["change"][m["name"]],
         )
         for m in metrics
     ]
+    return summaries, failed, attempted
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -225,12 +261,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    summaries = run_pairs(args.workload, args.parent, args.pairs, args.seed)
+    summaries, failed, attempted = run_pairs(
+        args.workload, args.parent, args.pairs, args.seed
+    )
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs vs {args.parent}:")
     for summary in summaries:
         for line in render(summary):
             print(line)
-    return 0
+    reasons = gate_failures(summaries, failed, attempted)
+    for reason in reasons:
+        print(f"REGRESSION: {reason}", file=sys.stderr)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":

@@ -114,5 +114,7 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.runtime.CoflowSimulation._time_tick",
         # Jobs-layer helpers on the event path (registry-only, see above).
         "repro.jobs.coflow.Coflow.release",
+        # The version-independent float sum behind wrr_weights.
+        "repro.floatsum.ordered_sum",
     ),
 )

@@ -22,10 +22,14 @@ SIM105    unordered-collection iteration order (``set`` iteration,
 Mechanics: each function gets a summary — the taints its return value
 always carries, plus which *parameters* flow to the return — computed to
 a fixed point over the whole project (context-insensitive: a parameter's
-taint is the union over all call sites).  Instance-attribute and
-module-global taints are tracked flow-insensitively.  ``sorted()`` and
-order-insensitive reductions (``sum``, ``len``, ``min``, ``max``, …)
-kill SIM105 taint; everything else unions its operands.
+taint is the union over all call sites).  A function defined inside
+another gets a summary of its own: its free variables start from what
+the enclosing scope's names carry, and a call by its local name feeds
+its parameters, so a flow reads the same inline or moved into a nested
+helper.  Instance-attribute and module-global taints are tracked
+flow-insensitively.  ``sorted()`` and order-insensitive reductions
+(``sum``, ``len``, ``min``, ``max``, …) kill SIM105 taint; everything
+else unions its operands.
 
 The engine deliberately over-approximates (a tainted operand taints the
 whole expression) — the JSON suppression baseline absorbs residual
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from tools.simlint.callgraph import (
     ClassInfo,
@@ -199,6 +203,11 @@ class FunctionSummary:
     #: concrete taints observed flowing *into* each parameter, unioned
     #: over every call site in the project
     param_taints: Dict[int, Set[Taint]] = field(default_factory=dict)
+    #: nested function only: concrete taints of the enclosing scope's
+    #: names, which its free variables read
+    closure_taints: Dict[str, Set[Taint]] = field(default_factory=dict)
+    #: local name -> full name of each function defined in this body
+    nested: Dict[str, str] = field(default_factory=dict)
 
     def seed_param(self, index: int, taints: TaintSet) -> bool:
         bucket = self.param_taints.setdefault(index, set())
@@ -246,6 +255,8 @@ class TaintEngine:
             name: FunctionSummary(func=info)
             for name, info in project.functions.items()
         }
+        for summary in list(self.summaries.values()):
+            self._register_nested(summary)
         #: (class full name, attribute) -> taints
         self.field_taints: Dict[Tuple[str, str], Set[Taint]] = {}
         #: (module name, global name) -> taints
@@ -268,6 +279,20 @@ class TaintEngine:
         for summary in self.summaries.values():
             self._analyze_function(summary, observer=observer)
 
+    def _register_nested(self, outer: FunctionSummary) -> None:
+        """Give every function defined in ``outer``'s body a summary."""
+        for node in _nested_defs(outer.func.node):
+            inner = FunctionInfo(
+                module=outer.func.module,
+                qualname=f"{outer.func.qualname}.<locals>.{node.name}",
+                node=node,
+                cls=outer.func.cls,  # ``self`` in a method's closure
+            )
+            summary = FunctionSummary(func=inner)
+            self.summaries[inner.full_name] = summary
+            outer.nested[node.name] = inner.full_name
+            self._register_nested(summary)
+
     # -- per-scope analysis --------------------------------------------
     def _analyze_module_body(self, mod: ModuleInfo) -> None:
         walker = _ScopeWalker(self, mod, func=None, cls=None, observer=None)
@@ -286,6 +311,10 @@ class TaintEngine:
         mod = self.project.module_for_function(func)
         cls = self.project.class_for_function(func)
         walker = _ScopeWalker(self, mod, func=func, cls=cls, observer=observer)
+        walker.nested_defs = summary.nested
+        # Free variables read the enclosing scope (parameters override).
+        for name, taints in summary.closure_taints.items():
+            walker.locals_taint[name] = frozenset(taints)
         # Seed parameters: symbolic marker + everything call sites sent.
         for index, name in enumerate(func.params):
             seeded: Set[Taint] = {
@@ -308,6 +337,9 @@ class TaintEngine:
         for _ in range(2):
             for stmt in func.node.body:  # type: ignore[attr-defined]
                 walker.visit_stmt(stmt)
+        # What this scope's names carry is what nested functions read.
+        for inner in summary.nested.values():
+            self._merge_closure(inner, walker.locals_taint)
         # Fold return information into the summary.
         ret_concrete = concrete(walker.return_taints)
         ret_params = {
@@ -334,6 +366,18 @@ class TaintEngine:
         bucket.update(concrete(taints))
         if len(bucket) != before:
             self._changed = True
+
+    def _merge_closure(self, inner: str, scope: Dict[str, TaintSet]) -> None:
+        closure = self.summaries[inner].closure_taints
+        for name, taints in scope.items():
+            found = concrete(taints)
+            if not found:
+                continue
+            bucket = closure.setdefault(name, set())
+            before = len(bucket)
+            bucket.update(found)
+            if len(bucket) != before:
+                self._changed = True
 
     def _merge_param(self, callee: str, index: int, taints: TaintSet) -> None:
         summary = self.summaries.get(callee)
@@ -362,6 +406,8 @@ class _ScopeWalker:
         self.observer = observer
         self.locals_taint: Dict[str, TaintSet] = {}
         self.local_types: Dict[str, str] = {}
+        #: local name -> full name of each function defined in this scope
+        self.nested_defs: Dict[str, str] = {}
         self.set_locals: Set[str] = set()
         self.return_taints: Set[Taint] = set()
 
@@ -650,7 +696,11 @@ class _ScopeWalker:
 
     # -- calls ---------------------------------------------------------
     def eval_call(self, node: ast.Call) -> TaintSet:
-        resolved = self.resolve(node.func)
+        resolved: Optional[str] = None
+        if isinstance(node.func, ast.Name):
+            resolved = self.nested_defs.get(node.func.id)
+        if resolved is None:
+            resolved = self.resolve(node.func)
 
         positional = [
             self.eval(a.value if isinstance(a, ast.Starred) else a)
@@ -710,10 +760,11 @@ class _ScopeWalker:
                     }
                 )
 
-        # 4. Project-internal callee: use (and feed) its summary.
-        callee = self.project.function_for(resolved) if resolved else None
-        if callee is not None:
-            summary = self.engine.summaries[callee.full_name]
+        # 4. Project-internal callee, nested ones included: use (and
+        #    feed) its summary.
+        summary = self.engine.summaries.get(resolved) if resolved else None
+        if summary is not None:
+            callee = summary.func
             self._propagate_args(callee, node, call_args)
             out: Set[Taint] = set(summary.return_taints)
             for index in summary.return_params:
@@ -775,6 +826,19 @@ class _ScopeWalker:
         if 0 <= index < len(params):
             return call_args.keywords.get(params[index])
         return None
+
+
+def _nested_defs(
+    node: ast.AST,
+) -> List[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
+    """The functions defined directly in ``node``'s scope (not deeper)."""
+    found: List[Union[ast.FunctionDef, ast.AsyncFunctionDef]] = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(child)
+        elif not isinstance(child, (ast.ClassDef, ast.Lambda)):
+            found.extend(_nested_defs(child))
+    return found
 
 
 def describe_taint(taint: Taint) -> str:
