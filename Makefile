@@ -4,56 +4,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench-suite bench-suite-check bench-pairs gap gap-golden all
+.PHONY: lint typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench-suite bench-suite-check bench-pairs gap gap-golden all
 
-## Everything static in one command: all four simlint layers in one
-## pass (per-file SIM001-SIM006, whole-program --deep SIM101-SIM106,
-## hot-closure --perf SIM201-SIM207, dimensional/streaming --units
-## SIM301-SIM308) against the merged committed baselines, plus ruff
-## and mypy (the latter two need the dev extra).
+## Everything static in one command: simlint runs all four layers in
+## one pass (per-file SIM001-SIM006, whole-program SIM101-SIM106,
+## hot-closure SIM201-SIM207, dimensional/streaming SIM301-SIM308), then
+## ruff and mypy (the latter two need the dev extra).  A finding is
+## accepted only by a pragma with a reason on its line.
 lint:
-	$(PYTHON) -m tools.simlint --all src --baseline
+	$(PYTHON) -m tools.simlint src
 	$(PYTHON) -m ruff check src tools tests
 	$(PYTHON) -m mypy --strict -p repro.simulator -p repro.schedulers \
 		-p repro.experiments -p repro.metrics
-
-## Per-file static analysis only (SIM001-SIM006).
-file-lint:
-	$(PYTHON) -m tools.simlint src
-
-## Whole-program determinism taint + worker purity (SIM101-SIM106),
-## checked against the committed suppression baseline.  Fails on any
-## new finding or on baseline drift (stale entries).
-deep-lint:
-	$(PYTHON) -m tools.simlint --deep src --baseline tools/simlint/deep_baseline.json
-
-## Refresh the deep baseline after an intentional change.  Review the
-## diff: every entry is a known, tolerated finding.
-deep-baseline:
-	$(PYTHON) -m tools.simlint --deep src --write-baseline tools/simlint/deep_baseline.json
-
-## Hot-closure performance rules (SIM201-SIM207) over the registry in
-## tools/simlint/hotpaths.py, against the committed perf baseline.
-perf-lint:
-	$(PYTHON) -m tools.simlint --perf src --baseline tools/simlint/perf_baseline.json
-
-## Refresh the perf baseline after an intentional change.  Prefer an
-## in-place pragma (ignore[SIM2xx] / hot-ok[reason]) with a reason;
-## the committed baseline stays empty by policy.
-perf-baseline:
-	$(PYTHON) -m tools.simlint --perf src --write-baseline tools/simlint/perf_baseline.json
-
-## Dimensional-analysis + streaming-discipline rules (SIM301-SIM308)
-## seeded from the repro.simulator.units annotations, against the
-## committed units baseline.
-units-lint:
-	$(PYTHON) -m tools.simlint --units src --baseline tools/simlint/units_baseline.json
-
-## Refresh the units baseline after an intentional change.  Prefer an
-## in-place pragma (ignore[SIM3xx] / unit[...]) with a reason; the
-## committed baseline stays empty by policy.
-units-baseline:
-	$(PYTHON) -m tools.simlint --units src --write-baseline tools/simlint/units_baseline.json
 
 ## mypy --strict over the strict-clean packages (needs the dev extra).
 typecheck:
@@ -92,7 +54,7 @@ bench-suite-check:
 ## is checked out as a git worktree under .bench_build/ for the run.
 ## Exits 1 when a median is worse than its BENCHMARK.json bound or this
 ## tree's runs failed more often than PARENT's; the perf-smoke CI job
-## runs it with W=tpcds-k4 N=5 against the base commit.
+## runs it with W=tpcds-k4 N=10 against the base commit.
 bench-pairs: N ?= 10
 bench-pairs: SEED ?= 42
 bench-pairs:
@@ -131,4 +93,4 @@ coverage:
 		--cov=repro.schedulers --cov=repro.theory \
 		--cov-report=term-missing --cov-fail-under=85
 
-all: file-lint deep-lint perf-lint units-lint test
+all: lint test

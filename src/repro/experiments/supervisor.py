@@ -120,7 +120,7 @@ def _unit_record(unit: WorkUnit, salt: str) -> Dict[str, Any]:
             list(unit.schedulers) if unit.schedulers is not None else None
         ),
         "config": json.loads(canonical_config(unit.config)),
-        "fingerprint": unit.fingerprint(salt),  # simlint: ignore[SIM103]
+        "fingerprint": unit.fingerprint(salt),  # simlint: ignore[SIM103] (the salt namespaces the record; it never reaches seeds or results)
         "status": _STATUS_PENDING,
     }
 
@@ -142,7 +142,7 @@ def unit_from_record(record: Dict[str, Any], salt: str) -> WorkUnit:
         label=record.get("label", ""),
     )
     expected = record.get("fingerprint")
-    actual = unit.fingerprint(salt)  # simlint: ignore[SIM103]
+    actual = unit.fingerprint(salt)  # simlint: ignore[SIM103] (namespace check only, as in ResultCache.load)
     if expected != actual:
         raise ManifestError(
             f"manifest unit {unit.describe()} fingerprints to {actual} under "

@@ -2,7 +2,7 @@
 
 PR 6 bought its events/sec trajectory by hand-applying hot-path idioms
 (guarded logging, ``__slots__``, allocation-free loops, cached lookups)
-to a specific set of functions.  ``simlint --perf`` keeps those functions
+to a specific set of functions.  simlint's perf layer keeps those functions
 fast by checking the SIM2xx performance rules against the *hot closure* —
 everything reachable from the registered hot roots — and the roots are
 declared twice, deliberately:
@@ -13,8 +13,8 @@ declared twice, deliberately:
 
 The analyzer cross-checks the two: a decorated function missing from the
 registry, or a registered simulator root missing the decorator, is a
-SIM207 registry-drift finding.  Hot roots outside ``repro.simulator``
-(e.g. ``repro.jobs.flow.Flow.advance``) are registry-only — importing
+SIM207 registry-drift finding.  Hot functions outside ``repro.simulator``
+(e.g. ``repro.jobs.coflow.Coflow.release``) are registry-only — importing
 this module from lower layers would create an import cycle.
 
 The decorator is **zero runtime cost**: it runs once at import time,
@@ -33,7 +33,7 @@ HOT_PATH_ATTR = "__simlint_hot_path__"
 
 
 def hot_path(func: _F) -> _F:
-    """Mark ``func`` as a hot-path root for ``simlint --perf``.
+    """Mark ``func`` as a hot-path root for simlint's perf layer.
 
     Returns ``func`` itself (no wrapper): the call path is untouched.
     """

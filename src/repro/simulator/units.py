@@ -10,7 +10,7 @@ Every scalar the simulator moves around is one of four physical kinds:
 The aliases are plain ``float`` at runtime — annotating a signature with
 them changes nothing about execution, pickling, or numeric results.  They
 exist so that (a) readers see the unit contract in the signature and
-(b) ``simlint --units`` (SIM301-SIM308) can seed its interprocedural
+(b) simlint's units layer (SIM301-SIM308) can seed its interprocedural
 dimensional-analysis dataflow from the annotations and prove that no
 bytes-vs-seconds or rate-vs-volume mixup flows between the lower-bound
 theory, the max-min allocator, and the runtime.

@@ -1,62 +1,38 @@
-"""Shipped-tree acceptance: ``simlint --deep src`` stays clean.
+"""Shipped-tree acceptance: simlint's deep layer finds nothing in ``src``.
 
-The whole-program analyzer must pass over the real source tree modulo
-the committed baseline (``tools/simlint/deep_baseline.json``).  A new
-determinism-taint or worker-purity finding — or a stale baseline entry —
-fails this test the same way it fails the CI ``deep-lint`` job.
+The whole-program analyzer must pass over the real source tree.  A new
+determinism-taint or worker-purity finding fails this test the same way
+it fails ``python -m tools.simlint`` in CI; an accepted flow carries a
+pragma with its reason at the sink.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from tools.simlint.__main__ import EXIT_CLEAN, main
-from tools.simlint.baseline import (
-    DEFAULT_BASELINE_PATH,
-    apply_baseline,
-    load_baseline,
-)
-from tools.simlint.runner import lint_paths_deep
+from tools.simlint.dataflow import DEEP_RULES, deep_lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / DEFAULT_BASELINE_PATH
 
 
-def test_shipped_tree_deep_clean_modulo_baseline():
-    report = lint_paths_deep([str(REPO_ROOT / "src")])
-    outcome = apply_baseline(report.findings, load_baseline(BASELINE))
-    assert outcome.clean, (
-        "deep lint drifted from the committed baseline:\n"
-        + "\n".join(
-            [f.render() for f in outcome.new_findings]
-            + [entry.render() for entry in outcome.stale]
-        )
-    )
+def test_shipped_tree_deep_clean():
+    report = deep_lint_paths([str(REPO_ROOT / "src")])
+    assert not report.findings, "\n".join(f.render() for f in report.findings)
 
 
 def test_cli_deep_baseline_run_is_clean(capsys, monkeypatch):
+    """The command-line run over ``src`` with the deep codes selected is
+    clean: accepted flows carry pragmas, and nothing else subtracts
+    findings."""
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["--deep", "src", "--baseline"])
+    codes = ",".join(rule.code for rule in DEEP_RULES)
+    code = main(["src", "--select", codes])
     assert code == EXIT_CLEAN, capsys.readouterr().out
-
-
-def test_committed_baseline_is_canonical():
-    """The on-disk baseline must already be in canonical serialized form
-    (sorted keys, sorted entries, trailing newline) so --write-baseline
-    round-trips produce no diff noise."""
-    raw = BASELINE.read_text(encoding="utf-8")
-    document = json.loads(raw)
-    assert raw == json.dumps(document, indent=2, sort_keys=True) + "\n"
-    assert document["version"] == 1
 
 
 def test_intentional_suppressions_carry_pragmas_not_baseline():
     """The known-good REPRO_CACHE_SALT flows are pragma'd in place with a
-    reason, keeping the committed baseline empty; new findings must pick
-    one mechanism deliberately rather than landing in the baseline by
-    default."""
-    document = load_baseline(BASELINE)
-    assert document["entries"] == []
-    report = lint_paths_deep([str(REPO_ROOT / "src")])
+    reason."""
+    report = deep_lint_paths([str(REPO_ROOT / "src")])
     assert report.suppressed >= 3  # the documented SIM103 salt pragmas

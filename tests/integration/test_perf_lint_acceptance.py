@@ -1,12 +1,12 @@
-"""Shipped-tree acceptance: ``simlint --perf src`` stays clean.
+"""Shipped-tree acceptance: simlint's perf layer finds nothing in ``src``.
 
-The hot-closure perf layer must pass over the real source tree modulo
-the committed baseline (``tools/simlint/perf_baseline.json``), and the
+The hot-closure perf layer must pass over the real source tree, and the
 registry in ``tools/simlint/hotpaths.py`` must agree with the
 ``@hot_path`` markers in the source — drift in either direction fails
-this test the same way it fails the CI ``perf-lint`` job.  A planted
-regression (an unguarded eager ``logger.debug`` inside a registered hot
-function) must surface as SIM201 at exactly the planted line.
+this test the same way it fails ``python -m tools.simlint`` in CI.  A
+planted regression (an unguarded eager ``logger.debug`` inside a
+registered hot function) must surface from that one command as SIM201
+at exactly the planted line.
 """
 
 from __future__ import annotations
@@ -15,56 +15,30 @@ import json
 import shutil
 from pathlib import Path
 
-from tools.simlint.__main__ import EXIT_CLEAN, main
-from tools.simlint.baseline import (
-    apply_baseline,
-    load_baseline,
-)
-from tools.simlint.perfrules import (
-    DEFAULT_PERF_BASELINE_PATH,
-    perf_lint_paths,
-)
+from tools.simlint.__main__ import EXIT_CLEAN, EXIT_FINDINGS, main
+from tools.simlint.perfrules import PERF_RULES, perf_lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / DEFAULT_PERF_BASELINE_PATH
 
 
-def test_shipped_tree_perf_clean_modulo_baseline():
+def test_shipped_tree_perf_clean():
     report = perf_lint_paths([str(REPO_ROOT / "src")])
-    outcome = apply_baseline(report.findings, load_baseline(BASELINE))
-    assert outcome.clean, (
-        "perf lint drifted from the committed baseline:\n"
-        + "\n".join(
-            [f.render() for f in outcome.new_findings]
-            + [entry.render() for entry in outcome.stale]
-        )
-    )
+    assert not report.findings, "\n".join(f.render() for f in report.findings)
 
 
 def test_cli_perf_baseline_run_is_clean(capsys, monkeypatch):
+    """The command-line run over ``src`` with the perf codes selected —
+    registry drift (SIM207) included — is clean: accepted findings carry
+    pragmas, and nothing else subtracts findings."""
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["--perf", "src", "--baseline"])
+    codes = ",".join(rule.code for rule in PERF_RULES)
+    code = main(["src", "--select", codes])
     assert code == EXIT_CLEAN, capsys.readouterr().out
-
-
-def test_committed_baseline_is_canonical():
-    """The on-disk perf baseline must already be in canonical serialized
-    form (sorted keys, trailing newline) so --write-baseline round-trips
-    produce no diff noise."""
-    raw = BASELINE.read_text(encoding="utf-8")
-    document = json.loads(raw)
-    assert raw == json.dumps(document, indent=2, sort_keys=True) + "\n"
-    assert document["version"] == 1
 
 
 def test_intentional_suppressions_carry_pragmas_not_baseline():
     """Deliberately-cold calls and bounded per-round allocations are
-    acknowledged in place (``hot-ok[reason]`` / ``ignore[SIM2xx]``),
-    keeping the committed baseline empty; new findings must pick one
-    mechanism deliberately rather than landing in the baseline by
-    default."""
-    document = load_baseline(BASELINE)
-    assert document["entries"] == []
+    acknowledged in place (``hot-ok[reason]`` / ``ignore[SIM2xx]``)."""
     report = perf_lint_paths([str(REPO_ROOT / "src")])
     # The fault-path escapes in runtime.py are hot-ok acknowledged...
     assert report.acknowledged >= 4
@@ -72,7 +46,7 @@ def test_intentional_suppressions_carry_pragmas_not_baseline():
     assert report.suppressed >= 5
 
 
-def test_planted_unguarded_debug_log_fires_sim201(tmp_path):
+def test_planted_unguarded_debug_log_fires_sim201(tmp_path, capsys):
     """Regression canary: reintroducing an eager hot-loop logging call —
     the exact pattern PR 6 removed — must fire SIM201 at its line."""
     planted_src = tmp_path / "src"
@@ -90,11 +64,11 @@ def test_planted_unguarded_debug_log_fires_sim201(tmp_path):
     )
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    report = perf_lint_paths([str(planted_src)])
-    outcome = apply_baseline(report.findings, load_baseline(BASELINE))
-    assert [f.code for f in outcome.new_findings] == ["SIM201"]
-    finding = outcome.new_findings[0]
-    assert finding.path.endswith("routing/ecmp.py")
-    assert finding.line == planted_lineno
-    assert "eagerly" in finding.message
-    assert "route_flow" in finding.message
+    assert main([str(planted_src), "--json"]) == EXIT_FINDINGS
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [f["code"] for f in findings] == ["SIM201"]
+    finding = findings[0]
+    assert finding["path"].endswith("routing/ecmp.py")
+    assert finding["line"] == planted_lineno
+    assert "eagerly" in finding["message"]
+    assert "route_flow" in finding["message"]

@@ -1,13 +1,12 @@
-"""Shipped-tree acceptance: ``simlint --units src`` stays clean.
+"""Shipped-tree acceptance: simlint's units layer finds nothing in ``src``.
 
-The dimensional-analysis layer must pass over the real source tree
-modulo the committed baseline (``tools/simlint/units_baseline.json``),
-and the registry in ``tools/simlint/units.py`` must agree with the unit
+The dimensional-analysis layer must pass over the real source tree, and
+the registry in ``tools/simlint/units.py`` must agree with the unit
 annotations actually present in the tree — drift in either direction
-fails this test the same way it fails the CI units step.  A planted
-regression (assigning a ``Bytes`` epsilon to a ``Seconds``-annotated
-global inside a registered module) must surface as SIM301 at exactly
-the planted line.
+fails this test the same way it fails ``python -m tools.simlint`` in
+CI.  A planted regression (assigning a ``Bytes`` epsilon to a
+``Seconds``-annotated global inside a registered module) must surface
+as SIM301 at exactly the planted line.
 """
 
 from __future__ import annotations
@@ -17,62 +16,42 @@ import shutil
 from pathlib import Path
 
 from tools.simlint.__main__ import EXIT_CLEAN, main
-from tools.simlint.baseline import (
-    apply_baseline,
-    load_baseline,
-)
-from tools.simlint.units import (
-    DEFAULT_UNITS_BASELINE_PATH,
-    UNITS_MODULES,
-    units_lint_paths,
-)
+from tools.simlint.units import ALL_UNITS_RULES, UNITS_MODULES, units_lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / DEFAULT_UNITS_BASELINE_PATH
 
 
-def test_shipped_tree_units_clean_modulo_baseline():
+def test_shipped_tree_units_clean():
     report = units_lint_paths([str(REPO_ROOT / "src")])
-    outcome = apply_baseline(report.findings, load_baseline(BASELINE))
-    assert outcome.clean, (
-        "units lint drifted from the committed baseline:\n"
-        + "\n".join(
-            [f.render() for f in outcome.new_findings]
-            + [entry.render() for entry in outcome.stale]
-        )
-    )
+    assert not report.findings, "\n".join(f.render() for f in report.findings)
 
 
 def test_cli_units_baseline_run_is_clean(capsys, monkeypatch):
+    """The command-line run over ``src`` with the units codes selected —
+    annotation drift (SIM308) included — is clean: accepted findings
+    carry pragmas, and nothing else subtracts findings."""
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["--units", "src", "--baseline"])
+    codes = ",".join(rule.code for rule in ALL_UNITS_RULES)
+    code = main(["src", "--select", codes])
     assert code == EXIT_CLEAN, capsys.readouterr().out
 
 
 def test_cli_all_layers_merged_baseline_run_is_clean(capsys, monkeypatch):
-    """``--all src --baseline`` (what ``make lint`` runs) merges the
-    per-layer default baselines and must come back clean."""
+    """The command-line run over ``src`` merges every layer into one JSON
+    report with no findings; the accepted ones are counted as pragma
+    suppressions."""
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["--all", "src", "--baseline"])
-    assert code == EXIT_CLEAN, capsys.readouterr().out
-
-
-def test_committed_baseline_is_canonical():
-    """The on-disk units baseline must already be in canonical
-    serialized form (sorted keys, trailing newline) so --write-baseline
-    round-trips produce no diff noise."""
-    raw = BASELINE.read_text(encoding="utf-8")
-    document = json.loads(raw)
-    assert raw == json.dumps(document, indent=2, sort_keys=True) + "\n"
-    assert document["version"] == 1
+    code = main(["src", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CLEAN, payload["findings"]
+    assert payload["findings"] == []
+    assert payload["suppressed"] >= 15
 
 
 def test_intentional_suppressions_carry_pragmas_not_baseline():
-    """The committed baseline stays empty by policy: deliberate
-    exceptions (the NaN validity probe in experiments/parallel.py) are
-    acknowledged in place with a reasoned ``ignore[SIM3xx]`` pragma."""
-    document = load_baseline(BASELINE)
-    assert document["entries"] == []
+    """Deliberate exceptions (the NaN validity probe in
+    experiments/parallel.py) are acknowledged in place with a reasoned
+    ``ignore[SIM3xx]`` pragma."""
     report = units_lint_paths([str(REPO_ROOT / "src")])
     assert report.suppressed >= 1
 
@@ -103,9 +82,8 @@ def test_planted_unit_conflict_fires_sim301(tmp_path):
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     report = units_lint_paths([str(planted_src)])
-    outcome = apply_baseline(report.findings, load_baseline(BASELINE))
-    assert [f.code for f in outcome.new_findings] == ["SIM301"]
-    finding = outcome.new_findings[0]
+    assert [f.code for f in report.findings] == ["SIM301"]
+    finding = report.findings[0]
     assert finding.path.endswith("jobs/flow.py")
     assert finding.line == planted_lineno
     assert "Seconds" in finding.message

@@ -1,9 +1,9 @@
-"""Fixture tests for the whole-program analyzer (``simlint --deep``).
+"""Fixture tests for simlint's whole-program deep layer.
 
 Each deep rule (SIM101-SIM106) gets a good/bad fixture pair, the
 interprocedural propagation contract is pinned with a two-module case,
-and the baseline create/match/drift lifecycle is exercised end to end.
-The shipped-tree acceptance run lives in
+and the command's exit status and output order are checked on a deep
+finding.  The shipped-tree acceptance run lives in
 ``tests/integration/test_deep_lint_acceptance.py``.
 """
 
@@ -17,33 +17,34 @@ from typing import Dict, List
 import pytest
 
 from tools.simlint.__main__ import EXIT_CLEAN, EXIT_FINDINGS, main
-from tools.simlint.baseline import (
-    BaselineError,
-    apply_baseline,
-    baseline_from_findings,
-    load_baseline,
-    save_baseline,
-)
 from tools.simlint.callgraph import build_project, parse_module
 from tools.simlint.dataflow import analyze_project
 from tools.simlint.findings import Finding
 
 #: The sink scaffolding every fixture package shares: a local EventQueue
-#: (resolved through self._queue attribute typing) and a run_grid with
-#: the engine's signature.
+#: (resolved through self._queue attribute typing), a WorkUnit (the
+#: unit-seed sink) and a run_grid with the engine's signatures.
 SINKS_MODULE = """
+    from dataclasses import dataclass
+    from typing import Optional, Tuple
+
+
     class EventQueue:
         def push(self, time, kind, payload=None, epoch=0):
             return (time, kind)
 
 
-    def run_grid(units, parallel=1, cache_dir=None, cache=None, retries=1,
-                 run_unit=None):
+    @dataclass(frozen=True)
+    class WorkUnit:
+        config: object
+        seed: Optional[int] = None
+        schedulers: Optional[Tuple[str, ...]] = None
+        label: str = ""
+
+
+    def run_grid(units, parallel=1, cache_dir=None, cache=None, *,
+                 run_unit=None, progress=None, budget=None):
         return units
-
-
-    def derive_unit_seed(config, seed=None, schedulers=None):
-        return 7
 """
 
 
@@ -122,11 +123,11 @@ class TestRngTaint:
             {
                 "bad": """
                     import random
-                    from pkg.sinks import derive_unit_seed
+                    from pkg.sinks import WorkUnit
 
                     def fresh_seed(config):
                         jitter = random.Random()
-                        return derive_unit_seed(config, seed=jitter.random())
+                        return WorkUnit(config, seed=jitter.random())
                 """
             },
         )
@@ -138,11 +139,11 @@ class TestRngTaint:
             {
                 "good": """
                     import random
-                    from pkg.sinks import derive_unit_seed
+                    from pkg.sinks import WorkUnit
 
                     def fresh_seed(config, base):
                         rng = random.Random(base)
-                        return derive_unit_seed(config, seed=rng.randrange(2**31))
+                        return WorkUnit(config, seed=rng.randrange(2**31))
                 """
             },
         )
@@ -159,10 +160,10 @@ class TestEnvironTaint:
             {
                 "bad": """
                     import os
-                    from pkg.sinks import derive_unit_seed
+                    from pkg.sinks import WorkUnit
 
                     def seed_from_env(config):
-                        return derive_unit_seed(config, seed=int(os.environ["SEED"]))
+                        return WorkUnit(config, seed=int(os.environ["SEED"]))
                 """
             },
         )
@@ -174,11 +175,11 @@ class TestEnvironTaint:
             {
                 "blessed": """
                     import os
-                    from pkg.sinks import derive_unit_seed
+                    from pkg.sinks import WorkUnit
 
                     def seed_from_env(config):
                         salt = os.environ.get("SALT", "x")
-                        return derive_unit_seed(config, seed=len(salt))  # simlint: ignore[SIM103]
+                        return WorkUnit(config, seed=len(salt))  # simlint: ignore[SIM103]
                 """
             },
         )
@@ -189,10 +190,10 @@ class TestEnvironTaint:
             tmp_path,
             {
                 "good": """
-                    from pkg.sinks import derive_unit_seed
+                    from pkg.sinks import WorkUnit
 
                     def seed(config):
-                        return derive_unit_seed(config, seed=42)
+                        return WorkUnit(config, seed=42)
                 """
             },
         )
@@ -227,11 +228,11 @@ class TestHashIdTaint:
             {
                 "good": """
                     import hashlib
-                    from pkg.sinks import derive_unit_seed
+                    from pkg.sinks import WorkUnit
 
                     def seed(config, encoded):
                         digest = hashlib.blake2b(encoded, digest_size=8).digest()
-                        return derive_unit_seed(config, seed=int.from_bytes(digest, "big"))
+                        return WorkUnit(config, seed=int.from_bytes(digest, "big"))
                 """
             },
         )
@@ -430,7 +431,8 @@ class TestWorkerPurity:
                         return u
 
                     def run_grid(units, parallel=1, cache_dir=None,
-                                 cache=None, retries=1, run_unit=None):
+                                 cache=None, *, run_unit=None,
+                                 progress=None, budget=None):
                         return units
                 """,
                 "bad": """
@@ -457,7 +459,8 @@ class TestWorkerPurity:
                         return u * SCALE
 
                     def run_grid(units, parallel=1, cache_dir=None,
-                                 cache=None, retries=1, run_unit=None):
+                                 cache=None, *, run_unit=None,
+                                 progress=None, budget=None):
                         return units
                 """,
                 "good": """
@@ -606,7 +609,9 @@ class TestInterproceduralPropagation:
 # ----------------------------------------------------------------------
 #: One environment flow into a worker submission, written inline and
 #: through a nested helper three ways: the helper reads the flow from the
-#: enclosing scope, takes it as an argument, or returns it.
+#: enclosing scope, takes it as an argument, or returns it.  A lambda
+#: submitted in place of the worker carries what its body reads, and a
+#: nested helper can write the flow back through ``nonlocal``.
 NESTED_FORMS = {
     "inline": """
         import os
@@ -644,6 +649,26 @@ NESTED_FORMS = {
 
             return executor.submit(work, salt())
     """,
+    "lambda": """
+        import os
+
+        def launch_all(executor, work):
+            salt = os.environ.get("SALT", "x")
+            return executor.submit(lambda: work(salt))
+    """,
+    "nonlocal": """
+        import os
+
+        def launch_all(executor, work):
+            salt = "x"
+
+            def refresh():
+                nonlocal salt
+                salt = os.environ.get("SALT", "x")
+
+            refresh()
+            return executor.submit(work, salt)
+    """,
 }
 
 
@@ -668,7 +693,24 @@ class TestNestedFunctions:
                             return executor.submit(work, value)
 
                         return launch(len(work)), salt
-                """
+                """,
+                # A helper that only reads a ``nonlocal`` name sends back
+                # nothing, so the submit before the source stays clean.
+                "show": """
+                    import os
+
+                    def launch_all(executor, work):
+                        salt = "x"
+
+                        def show():
+                            nonlocal salt
+                            print(salt)
+
+                        show()
+                        future = executor.submit(work, salt)
+                        salt = os.environ.get("SALT", "x")
+                        return future, salt
+                """,
             },
         )
         assert found == []
@@ -746,70 +788,7 @@ class TestCallGraph:
 
 
 # ----------------------------------------------------------------------
-# Baseline create / match / drift
-# ----------------------------------------------------------------------
-def _finding(path="a.py", line=3, code="SIM101", message="m") -> Finding:
-    return Finding(path=path, line=line, col=0, code=code, message=message)
-
-
-class TestBaseline:
-    def test_round_trip_matches(self, tmp_path):
-        findings = [_finding(), _finding(line=9), _finding(code="SIM105")]
-        doc = baseline_from_findings(findings)
-        target = save_baseline(doc, tmp_path / "bl.json")
-        outcome = apply_baseline(findings, load_baseline(target))
-        assert outcome.clean
-        assert outcome.matched == 3
-
-    def test_count_matching_is_multiset(self, tmp_path):
-        # Two identical findings baselined; a third occurrence is new.
-        doc = baseline_from_findings([_finding(), _finding(line=9)])
-        outcome = apply_baseline(
-            [_finding(), _finding(line=9), _finding(line=30)], doc
-        )
-        assert len(outcome.new_findings) == 1
-        assert outcome.matched == 2
-        assert not outcome.stale
-
-    def test_line_drift_still_matches(self):
-        doc = baseline_from_findings([_finding(line=3)])
-        outcome = apply_baseline([_finding(line=300)], doc)
-        assert outcome.clean
-
-    def test_fixed_finding_is_stale(self):
-        doc = baseline_from_findings([_finding(), _finding(code="SIM105")])
-        outcome = apply_baseline([_finding()], doc)
-        assert not outcome.clean
-        assert [entry.code for entry in outcome.stale] == ["SIM105"]
-
-    def test_new_finding_fails(self):
-        doc = baseline_from_findings([_finding()])
-        outcome = apply_baseline([_finding(), _finding(code="SIM106")], doc)
-        assert not outcome.clean
-        assert [f.code for f in outcome.new_findings] == ["SIM106"]
-
-    def test_stable_serialization(self, tmp_path):
-        findings = [_finding(code="SIM105"), _finding(), _finding(path="z.py")]
-        first = save_baseline(
-            baseline_from_findings(findings), tmp_path / "a.json"
-        ).read_text()
-        second = save_baseline(
-            baseline_from_findings(list(reversed(findings))), tmp_path / "b.json"
-        ).read_text()
-        assert first == second
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-        bad.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-
-# ----------------------------------------------------------------------
-# CLI contract for --deep / --baseline / --write-baseline
+# The command on a deep finding
 # ----------------------------------------------------------------------
 class TestDeepCli:
     BAD = {
@@ -828,28 +807,9 @@ class TestDeepCli:
 
     def test_deep_findings_exit(self, tmp_path, capsys):
         root = make_package(tmp_path, self.BAD)
-        assert main(["--deep", str(root)]) == EXIT_FINDINGS
+        assert main([str(root)]) == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert "SIM101" in out
-
-    def test_deep_clean_without_flag(self, tmp_path, capsys):
-        """The taint rules only run under --deep."""
-        root = make_package(tmp_path, self.BAD)
-        # SIM001 does not fire either: the fixture path is outside the
-        # simulator scope, so the classic run is clean.
-        assert main([str(root)]) == EXIT_CLEAN
-
-    def test_write_then_match_then_drift(self, tmp_path, capsys):
-        root = make_package(tmp_path, self.BAD)
-        baseline = tmp_path / "bl.json"
-        assert main(["--deep", str(root), "--write-baseline", str(baseline)]) == EXIT_CLEAN
-        assert main(["--deep", str(root), "--baseline", str(baseline)]) == EXIT_CLEAN
-        # Fix the violation: the baseline entry goes stale -> drift fails.
-        (root / "bad.py").write_text(
-            "def go(now):\n    return now\n"
-        )
-        assert main(["--deep", str(root), "--baseline", str(baseline)]) == EXIT_FINDINGS
-        assert "stale" in capsys.readouterr().out
 
     def test_json_findings_sorted_by_path_line_rule(self, tmp_path, capsys):
         root = make_package(
@@ -872,7 +832,7 @@ class TestDeepCli:
                 """
             },
         )
-        assert main(["--deep", "--json", str(root)]) == EXIT_FINDINGS
+        assert main(["--json", str(root)]) == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
         keys = [
             (f["path"], f["line"], f["code"]) for f in payload["findings"]
@@ -881,9 +841,5 @@ class TestDeepCli:
 
     def test_select_filters_deep_codes(self, tmp_path, capsys):
         root = make_package(tmp_path, self.BAD)
-        assert main(["--deep", "--select", "SIM106", str(root)]) == EXIT_CLEAN
-        assert main(["--deep", "--select", "SIM101", str(root)]) == EXIT_FINDINGS
-
-    def test_deep_codes_rejected_without_deep(self, tmp_path):
-        root = make_package(tmp_path, self.BAD)
-        assert main(["--select", "SIM101", str(root)]) == 2
+        assert main(["--select", "SIM106", str(root)]) == EXIT_CLEAN
+        assert main(["--select", "SIM101", str(root)]) == EXIT_FINDINGS

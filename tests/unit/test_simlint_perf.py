@@ -1,4 +1,4 @@
-"""Fixture tests for the hot-closure perf layer (``simlint --perf``).
+"""Fixture tests for simlint's hot-closure perf layer.
 
 Each perf rule (SIM201-SIM207) gets a firing/non-firing fixture pair,
 the registry-drift contract is pinned in both directions (decorated but
@@ -15,13 +15,7 @@ import textwrap
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from tools.simlint.__main__ import EXIT_CLEAN, EXIT_USAGE, main
-from tools.simlint.baseline import (
-    apply_baseline,
-    baseline_from_findings,
-    load_baseline,
-    save_baseline,
-)
+from tools.simlint.__main__ import EXIT_CLEAN, main
 from tools.simlint.callgraph import build_project
 from tools.simlint.findings import Finding
 from tools.simlint.hotpaths import REGISTRY, HotPathRegistry
@@ -30,7 +24,7 @@ from tools.simlint.perfrules import (
     PerfReport,
     perf_lint_project,
 )
-from tools.simlint.runner import FINDING_ORDER, lint_paths_layers
+from tools.simlint.runner import FINDING_ORDER, lint_paths
 
 #: The in-source marker, reproduced so fixture packages are self-
 #: contained under the registry's ``repro.simulator`` decorated prefix.
@@ -758,9 +752,7 @@ class TestMergedStream:
             },
         )
         registry = HotPathRegistry(roots=("repro.simulator.engine.step",))
-        report = lint_paths_layers(
-            [str(root)], perf=True, registry=registry
-        )
+        report = lint_paths([str(root)], registry=registry)
         assert sorted(codes(report.findings)) == ["SIM005", "SIM202"]
         assert report.findings == sorted(report.findings, key=FINDING_ORDER)
         # Both layers ran over one parse of each file.
@@ -768,55 +760,20 @@ class TestMergedStream:
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip with perf findings
-# ----------------------------------------------------------------------
-class TestPerfBaseline:
-    def _findings(self, tmp_path) -> List[Finding]:
-        return perf_findings(
-            tmp_path,
-            {"engine": TestClosureEscape.ESCAPE_MODULE},
-            roots=["repro.simulator.engine.step"],
-        )
-
-    def test_round_trip_matches(self, tmp_path):
-        found = self._findings(tmp_path)
-        assert found
-        path = tmp_path / "perf_baseline.json"
-        save_baseline(baseline_from_findings(found), str(path))
-        outcome = apply_baseline(found, load_baseline(str(path)))
-        assert outcome.clean
-        assert outcome.matched == len(found)
-
-    def test_fixed_finding_becomes_stale_entry(self, tmp_path):
-        found = self._findings(tmp_path)
-        path = tmp_path / "perf_baseline.json"
-        save_baseline(baseline_from_findings(found), str(path))
-        outcome = apply_baseline([], load_baseline(str(path)))
-        assert not outcome.clean
-        assert outcome.stale
-
-
-# ----------------------------------------------------------------------
 # CLI wiring
 # ----------------------------------------------------------------------
 class TestPerfCli:
     def test_perf_flag_runs_clean_outside_registry_modules(self, tmp_path):
+        """The perf layer runs on every call, and a package outside the
+        registry's ``repro`` modules raises no drift or hot finding."""
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
         (pkg / "mod.py").write_text("def f(x):\n    return x\n")
-        assert main(["--perf", str(pkg)]) == EXIT_CLEAN
-
-    def test_perf_codes_unknown_without_flag(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text("def f(x):\n    return x\n")
-        assert main(["--select", "SIM202", str(pkg)]) == EXIT_USAGE
-        assert main(["--perf", "--select", "SIM202", str(pkg)]) == EXIT_CLEAN
+        assert main([str(pkg)]) == EXIT_CLEAN
 
     def test_list_rules_includes_perf_catalog(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         for rule in PERF_RULES:
-            assert rule.code in out
-        assert "--perf" in out
+            assert f"{rule.code}  [hot closure]" in out

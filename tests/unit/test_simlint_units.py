@@ -1,11 +1,11 @@
-"""Fixture tests for the dimensional-analysis layer (``simlint --units``).
+"""Fixture tests for simlint's dimensional-analysis units layer.
 
 Each units rule (SIM301-SIM308) gets a firing/non-firing fixture pair:
 unit derivation through arithmetic is pinned (``Bytes / BytesPerSec``
 feeds a ``Seconds`` sink cleanly), the ``unit[...]`` assertion pragma
-and cross-layer pragma stacking are exercised, and the CLI contract
-(``--units``, ``--all``, per-finding ``layer`` tags) is locked in.  The
-shipped-tree acceptance run lives in
+and cross-layer pragma stacking are exercised, and the command's
+contract (every layer on every call, per-finding ``layer`` tags) is
+locked in.  The shipped-tree acceptance run lives in
 ``tests/integration/test_units_lint_acceptance.py``.
 """
 
@@ -16,11 +16,11 @@ import textwrap
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from tools.simlint.__main__ import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from tools.simlint.__main__ import EXIT_CLEAN, EXIT_FINDINGS, main
 from tools.simlint.callgraph import build_project
 from tools.simlint.findings import Finding, layer_for_code
 from tools.simlint.hotpaths import HotPathRegistry
-from tools.simlint.runner import lint_paths_layers
+from tools.simlint.runner import lint_paths
 from tools.simlint.units import (
     ALL_UNITS_RULES,
     UNITS_MODULES,
@@ -560,7 +560,9 @@ class TestPragmaStacking:
                 """
             },
         )
-        report = lint_paths_layers([str(root)], units=True)
+        # An empty hot registry: the shipped one's roots are missing from
+        # this fixture package, which SIM207 would report.
+        report = lint_paths([str(root)], registry=HotPathRegistry())
         assert [f.code for f in report.findings] == ["SIM005"]
 
     def test_ignore_sim005_does_not_suppress_units_layer(self, tmp_path):
@@ -595,7 +597,9 @@ class TestPragmaStacking:
             },
         )
         registry = UnitsRegistry(modules=(), prefix="fixtures-exempt.")
-        report = lint_paths_layers([str(root)], units=True, units_registry=registry)
+        report = lint_paths(
+            [str(root)], registry=HotPathRegistry(), units_registry=registry
+        )
         assert report.clean, [f.render() for f in report.findings]
         assert report.suppressed >= 1
 
@@ -647,49 +651,60 @@ class TestPragmaStacking:
 
 
 # ----------------------------------------------------------------------
-# CLI contract: --units / --all, merged stream, layer tags
+# The command: every layer on every call, merged stream, layer tags
 # ----------------------------------------------------------------------
 class TestUnitsCli:
     """CLI fixtures live outside the ``repro`` namespace so the shipped
     SIM207/SIM308 registries (keyed on ``repro.*`` module names) stay
     out of the picture — the unit rules themselves are namespace-free."""
 
-    BAD = """
-        def advance(now: Seconds, volume: Bytes):
-            return now + volume
-    """
-
     def test_units_flag_finds_and_tags_layer(self, tmp_path, capsys):
+        """The units layer runs on every call and tags its findings."""
         target = tmp_path / "flow.py"
-        target.write_text(textwrap.dedent(self.BAD))
-        assert main(["--units", str(target), "--json"]) == EXIT_FINDINGS
+        target.write_text(
+            textwrap.dedent(
+                """
+                def advance(now: Seconds, volume: Bytes):
+                    return now + volume
+                """
+            )
+        )
+        assert main([str(target), "--json"]) == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 2
         assert [f["code"] for f in payload["findings"]] == ["SIM301"]
         assert [f["layer"] for f in payload["findings"]] == ["units"]
 
-    def test_without_units_flag_rule_is_unknown(self, tmp_path):
-        target = tmp_path / "flow.py"
-        target.write_text(textwrap.dedent(self.BAD))
-        assert main([str(target), "--select", "SIM301"]) == EXIT_USAGE
-
     def test_all_flag_merges_every_layer(self, tmp_path, capsys):
+        """No flag: the per-file, deep and units layers all report in one
+        merged stream."""
         target = tmp_path / "flow.py"
         target.write_text(
             textwrap.dedent(
                 """
+                import time
+
+
                 def advance(now: Seconds, volume: Bytes, items=[]):
                     return now + volume
+
+
+                def launch(executor, work):
+                    return executor.submit(work, time.time())
                 """
             )
         )
-        assert main(["--all", str(target), "--json"]) == EXIT_FINDINGS
+        assert main([str(target), "--json"]) == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
         found = {(f["code"], f["layer"]) for f in payload["findings"]}
-        assert ("SIM005", "file") in found
-        assert ("SIM301", "units") in found
+        assert found == {
+            ("SIM005", "file"),
+            ("SIM101", "deep"),
+            ("SIM301", "units"),
+        }
 
     def test_all_flag_clean_fixture(self, tmp_path, capsys):
+        """No flag: a fixture clean under every layer exits clean."""
         target = tmp_path / "flow.py"
         target.write_text(
             textwrap.dedent(
@@ -699,15 +714,14 @@ class TestUnitsCli:
                 """
             )
         )
-        assert main(["--all", str(target)]) == EXIT_CLEAN
+        assert main([str(target)]) == EXIT_CLEAN
         assert "clean" in capsys.readouterr().out
 
     def test_list_rules_covers_units_layer(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         for rule in ALL_UNITS_RULES:
-            assert rule.code in out
-        assert "--units" in out
+            assert f"{rule.code}  [dimensional/streaming]" in out
 
     def test_layer_tagging_is_total(self):
         assert layer_for_code("SIM001") == "file"

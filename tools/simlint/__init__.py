@@ -2,17 +2,19 @@
 
 Usage (CLI)::
 
-    python -m tools.simlint src              # human output, exit 1 on findings
+    python -m tools.simlint src              # every layer, exit 1 on findings
     python -m tools.simlint src --json       # machine-readable
     python -m tools.simlint --list-rules     # rule catalog
 
 Usage (API)::
 
     from tools.simlint import lint_source, lint_paths
-    report = lint_paths(["src"])
+    report = lint_paths(["src"])             # every layer, as the CLI runs
     assert report.clean, report.render_human()
 
-The rule catalog (SIM001–SIM006) and how to extend it are documented in
+``lint_source`` runs the per-file rules on one source string.
+
+The rule catalog (SIM001–SIM308) and how to extend it are documented in
 ``docs/static-analysis.md``.
 """
 

@@ -1,72 +1,48 @@
 """Command-line entry point: ``python -m tools.simlint [paths...]``.
 
-Exit codes: 0 = clean, 1 = findings (or baseline drift), 2 = usage /
-parse error.
+Exit codes: 0 = clean, 1 = findings, 2 = usage / parse error.
 
-``--deep`` adds the whole-program SIM101-SIM106 analysis (cross-module
-taint tracking + worker purity) on top of the per-file rules;
-``--perf`` adds the hot-closure SIM201-SIM207 performance rules driven
-by the hot-path registry (``tools/simlint/hotpaths.py``);
-``--units`` adds the dimensional-analysis + streaming-discipline rules
-(SIM301-SIM308) seeded from the ``repro.simulator.units`` annotations;
-``--all`` runs every layer at once;
-``--baseline`` subtracts a committed JSON baseline so CI fails only on
-*new* findings or on *stale* entries (baseline drift);
-``--write-baseline`` refreshes that snapshot.  All requested layers run
-in one pass — each file is parsed exactly once — and report one merged,
-(path, line, rule)-sorted stream.
+Every call runs every layer in one pass — each file is parsed exactly
+once — and reports one merged, (path, line, rule)-sorted stream: the
+per-file rules (SIM001-SIM006), the whole-program determinism taint and
+worker purity (SIM101-SIM106), the hot-closure performance rules and
+their registry-drift check (SIM201-SIM207, driven by
+``tools/simlint/hotpaths.py``), and the dimensional and
+streaming-discipline rules (SIM301-SIM308, seeded from the
+``repro.simulator.units`` annotations).  A pragma on the finding's line
+(``ignore[...]``, ``hot-ok[...]``, ``unit[...]``) is the one way to
+accept a finding.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Sequence
 
-from tools.simlint.baseline import (
-    DEFAULT_BASELINE_PATH,
-    BaselineError,
-    apply_baseline,
-    baseline_from_findings,
-    load_baseline,
-    save_baseline,
-)
 from tools.simlint.dataflow import DEEP_RULES, DEEP_RULES_BY_CODE
-from tools.simlint.findings import Finding
-from tools.simlint.perfrules import (
-    DEFAULT_PERF_BASELINE_PATH,
-    PERF_RULES,
-    PERF_RULES_BY_CODE,
-)
+from tools.simlint.perfrules import PERF_RULES, PERF_RULES_BY_CODE
 from tools.simlint.rules import ALL_RULES, RULES_BY_CODE
-from tools.simlint.runner import (
-    FINDING_ORDER,
-    LintReport,
-    SimlintUsageError,
-    lint_paths_layers,
-)
-from tools.simlint.units import (
-    ALL_UNITS_RULES,
-    ALL_UNITS_RULES_BY_CODE,
-    DEFAULT_UNITS_BASELINE_PATH,
-)
+from tools.simlint.runner import LintReport, SimlintUsageError, lint_paths
+from tools.simlint.units import ALL_UNITS_RULES, ALL_UNITS_RULES_BY_CODE
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
-#: Sentinel for ``--baseline`` / ``--write-baseline`` with no FILE: the
-#: default file depends on the layers in play (deep vs perf-only).
-_AUTO_BASELINE = "__auto__"
+#: Every code ``--select`` / ``--ignore`` accepts: all four layers.
+KNOWN_CODES = frozenset(
+    [*RULES_BY_CODE, *DEEP_RULES_BY_CODE, *PERF_RULES_BY_CODE, *ALL_UNITS_RULES_BY_CODE]
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simlint",
         description=(
-            "Simulator-aware static analysis for the Gurita reproduction "
-            "(determinism and conservation failure classes)."
+            "Simulator-aware static analysis for the Gurita reproduction: "
+            "per-file, whole-program taint, hot-closure performance and "
+            "dimensional rules, all in one pass."
         ),
     )
     parser.add_argument(
@@ -74,62 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help=(
-            "run the whole-program analyzer (SIM101-SIM106: cross-module "
-            "determinism taint + run_grid worker purity) in addition to "
-            "the per-file rules"
-        ),
-    )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help=(
-            "run the hot-closure performance rules (SIM201-SIM207: "
-            "logging, allocation, numpy scalar access, __slots__, "
-            "attribute chains, control indirection, closure escapes) "
-            "driven by the registry in tools/simlint/hotpaths.py"
-        ),
-    )
-    parser.add_argument(
-        "--units",
-        action="store_true",
-        help=(
-            "run the dimensional-analysis and streaming-discipline rules "
-            "(SIM301-SIM308: mixed-unit arithmetic/comparison, unit "
-            "mismatched or erased sinks, generator materialization, "
-            "hot-loop accumulation, units-registry drift) seeded from "
-            "the repro.simulator.units annotations"
-        ),
-    )
-    parser.add_argument(
-        "--all",
-        action="store_true",
-        dest="all_layers",
-        help="run every layer (per-file + --deep + --perf + --units) in one pass",
-    )
-    parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=_AUTO_BASELINE,
-        metavar="FILE",
-        help=(
-            "subtract a committed JSON baseline; exit 1 on new findings "
-            "OR stale entries (drift). With no FILE, uses the default "
-            f"file of each requested layer ({DEFAULT_BASELINE_PATH}, "
-            f"{DEFAULT_PERF_BASELINE_PATH}, {DEFAULT_UNITS_BASELINE_PATH}) "
-            "merged"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        nargs="?",
-        const=_AUTO_BASELINE,
-        metavar="FILE",
-        help="write the current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
@@ -157,31 +77,19 @@ def _split_codes(raw: Optional[str]) -> List[str]:
 
 
 def _filtered_report(
-    paths: Sequence[str],
-    deep: bool,
-    perf: bool,
-    units: bool,
-    select: List[str],
-    ignore: List[str],
+    paths: Sequence[str], select: List[str], ignore: List[str]
 ) -> LintReport:
-    known = set(RULES_BY_CODE)
-    if deep:
-        known |= set(DEEP_RULES_BY_CODE)
-    if perf:
-        known |= set(PERF_RULES_BY_CODE)
-    if units:
-        known |= set(ALL_UNITS_RULES_BY_CODE)
     for code in select + ignore:
-        if code not in known:
+        if code not in KNOWN_CODES:
             raise SimlintUsageError(
-                f"unknown rule code {code!r}; known: {sorted(known)}"
+                f"unknown rule code {code!r}; known: {sorted(KNOWN_CODES)}"
             )
     rules = tuple(
         rule
         for rule in ALL_RULES
         if (not select or rule.code in select) and rule.code not in ignore
     )
-    report = lint_paths_layers(paths, rules=rules, deep=deep, perf=perf, units=units)
+    report = lint_paths(paths, rules=rules)
     if select or ignore:
         report.findings = [
             f
@@ -191,161 +99,36 @@ def _filtered_report(
     return report
 
 
-def _render_baseline_outcome(
-    report: LintReport,
-    new_findings: List[Finding],
-    stale_renders: List[str],
-    matched: int,
-    as_json: bool,
-) -> str:
-    if as_json:
-        return json.dumps(
-            {
-                "version": 1,
-                "files_checked": report.files_checked,
-                "suppressed": report.suppressed,
-                "baseline_matched": matched,
-                "new_findings": [f.to_dict() for f in new_findings],
-                "stale_baseline_entries": stale_renders,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    lines = [finding.render() for finding in new_findings]
-    lines.extend(stale_renders)
-    verdict = (
-        "clean"
-        if not new_findings and not stale_renders
-        else f"{len(new_findings)} new finding(s), {len(stale_renders)} stale "
-        "baseline entr(y/ies)"
-    )
-    lines.append(
-        f"simlint: {verdict} ({report.files_checked} files, "
-        f"{matched} baselined, {report.suppressed} suppressed by pragma)"
-    )
-    return "\n".join(lines)
-
-
-def _default_layer_baselines(deep: bool, perf: bool, units: bool) -> List[str]:
-    """Default baseline files for the requested layers, in load order."""
-    paths: List[str] = []
-    if deep:
-        paths.append(DEFAULT_BASELINE_PATH)
-    if perf:
-        paths.append(DEFAULT_PERF_BASELINE_PATH)
-    if units:
-        paths.append(DEFAULT_UNITS_BASELINE_PATH)
-    return paths or [DEFAULT_BASELINE_PATH]
-
-
-def _resolve_baseline_paths(
-    raw: Optional[str], deep: bool, perf: bool, units: bool
-) -> Optional[List[str]]:
-    """Files to subtract under ``--baseline`` (merged when several layers)."""
-    if raw is None:
-        return None
-    if raw != _AUTO_BASELINE:
-        return [raw]
-    return _default_layer_baselines(deep, perf, units)
-
-
-def _resolve_write_path(
-    raw: Optional[str], deep: bool, perf: bool, units: bool
-) -> Optional[str]:
-    """The single file ``--write-baseline`` refreshes.
-
-    A multi-layer auto write would have to split findings across files;
-    keep the historical behavior instead: the deep default unless
-    exactly one non-deep layer is selected.
-    """
-    if raw != _AUTO_BASELINE:
-        return raw
-    if units and not deep and not perf:
-        return DEFAULT_UNITS_BASELINE_PATH
-    if perf and not deep and not units:
-        return DEFAULT_PERF_BASELINE_PATH
-    return DEFAULT_BASELINE_PATH
-
-
-def _load_merged_baseline(paths: Sequence[str]) -> dict:
-    """Load and merge one baseline document per requested layer."""
-    merged: dict = {"version": 1, "entries": []}
-    for path in paths:
-        document = load_baseline(path)
-        merged["entries"].extend(document["entries"])  # type: ignore[union-attr]
-    return merged
+def _print_catalog() -> None:
+    for rule in ALL_RULES:
+        scope = ", ".join(rule.scopes) if rule.scopes else "all files"
+        print(f"{rule.code}  [{scope}]")
+        print(f"    {rule.description}")
+    for deep_rule in DEEP_RULES:
+        print(f"{deep_rule.code}  [whole-program]")
+        print(f"    {deep_rule.description}")
+    for perf_rule in PERF_RULES:
+        print(f"{perf_rule.code}  [hot closure]")
+        print(f"    {perf_rule.description}")
+    for units_rule in ALL_UNITS_RULES:
+        print(f"{units_rule.code}  [dimensional/streaming]")
+        print(f"    {units_rule.description}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.all_layers:
-        args.deep = args.perf = args.units = True
     if args.list_rules:
-        for rule in ALL_RULES:
-            scope = ", ".join(rule.scopes) if rule.scopes else "all files"
-            print(f"{rule.code}  [{scope}]")
-            print(f"    {rule.description}")
-        for deep_rule in DEEP_RULES:
-            print(f"{deep_rule.code}  [whole-program, --deep]")
-            print(f"    {deep_rule.description}")
-        for perf_rule in PERF_RULES:
-            print(f"{perf_rule.code}  [hot closure, --perf]")
-            print(f"    {perf_rule.description}")
-        for units_rule in ALL_UNITS_RULES:
-            print(f"{units_rule.code}  [dimensional/streaming, --units]")
-            print(f"    {units_rule.description}")
+        _print_catalog()
         return EXIT_CLEAN
-
-    baseline_paths = _resolve_baseline_paths(
-        args.baseline, args.deep, args.perf, args.units
-    )
-    write_baseline_path = _resolve_write_path(
-        args.write_baseline, args.deep, args.perf, args.units
-    )
-
     try:
         report = _filtered_report(
             args.paths,
-            deep=args.deep,
-            perf=args.perf,
-            units=args.units,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore),
         )
     except SimlintUsageError as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report.findings.sort(key=FINDING_ORDER)
-
-    if write_baseline_path:
-        path = save_baseline(
-            baseline_from_findings(report.findings), write_baseline_path
-        )
-        entries = baseline_from_findings(report.findings)["entries"]
-        print(
-            f"simlint: wrote baseline with {len(entries)} entr(y/ies) "
-            f"covering {len(report.findings)} finding(s) to {path}"
-        )
-        return EXIT_CLEAN
-
-    if baseline_paths:
-        try:
-            document = _load_merged_baseline(baseline_paths)
-        except BaselineError as exc:
-            print(f"simlint: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        outcome = apply_baseline(report.findings, document)
-        print(
-            _render_baseline_outcome(
-                report,
-                outcome.new_findings,
-                [entry.render() for entry in outcome.stale],
-                outcome.matched,
-                as_json=args.json,
-            )
-        )
-        return EXIT_CLEAN if outcome.clean else EXIT_FINDINGS
-
     print(report.render_json() if args.json else report.render_human())
     return EXIT_CLEAN if report.clean else EXIT_FINDINGS
 

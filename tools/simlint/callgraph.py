@@ -1,4 +1,4 @@
-"""Whole-program module/function/call-graph model for ``simlint --deep``.
+"""Whole-program module/function/call-graph model for simlint's deep layer.
 
 The per-file rules (SIM001-SIM006) are statement-local; the deep analyzer
 needs to see *across* files: which module a name was imported from, which

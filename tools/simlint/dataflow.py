@@ -1,6 +1,6 @@
 """Determinism sinks, the SIM101-SIM106 deep rules, and orchestration.
 
-This module is the front door of ``simlint --deep``: it builds the
+This module is the front door of simlint's deep layer: it builds the
 project model (:mod:`tools.simlint.callgraph`), runs the interprocedural
 taint engine (:mod:`tools.simlint.taint`), matches tainted values against
 the *determinism sinks* below, and runs the worker-purity rule (SIM106)
@@ -10,8 +10,8 @@ Sinks — the places a nondeterministic value must never reach:
 
 * **event timestamps** — ``EventQueue.push`` time arguments; a tainted
   timestamp silently reorders the whole simulation;
-* **unit seeds** — ``derive_unit_seed`` / ``WorkUnit`` construction; a
-  tainted seed breaks parallel-vs-serial bit-identity;
+* **unit seeds** — ``WorkUnit`` construction; a tainted seed breaks
+  parallel-vs-serial bit-identity;
 * **cache keys** — ``WorkUnit.fingerprint`` / ``ResultCache`` /
   ``canonical_config``; a tainted key makes cache hits irreproducible;
 * **worker payloads** — ``run_grid`` units, ``Executor.submit``
@@ -139,11 +139,6 @@ SINKS: Tuple[SinkSpec, ...] = (
         ),
         positions=(0,),
         keywords=("time",),
-    ),
-    SinkSpec(
-        kind="unit-seed derivation 'derive_unit_seed'",
-        suffixes=("derive_unit_seed",),
-        all_args=True,
     ),
     SinkSpec(
         kind="work-unit construction 'WorkUnit'",

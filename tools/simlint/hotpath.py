@@ -1,4 +1,4 @@
-"""Hot-closure computation for ``simlint --perf``.
+"""Hot-closure computation for simlint's perf layer.
 
 Bridges the two halves of the hot-path contract — the ``@hot_path``
 marker in :mod:`repro.simulator.hotpath` and the registry in

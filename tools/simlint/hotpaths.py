@@ -1,4 +1,4 @@
-"""The hot-path registry: which functions ``simlint --perf`` protects.
+"""The hot-path registry: which functions simlint's perf layer protects.
 
 PR 6's events/sec trajectory was bought by hand-applying hot-path idioms
 (guarded logging, ``__slots__``, allocation-free loops, cached lookups)
@@ -75,9 +75,6 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.runtime.CoflowSimulation._handle",
         "repro.simulator.runtime.CoflowSimulation._finish_ripe_flows",
         "repro.simulator.runtime.CoflowSimulation._reallocate",
-        # Flow advancement lives in the jobs layer, which cannot import
-        # repro.simulator.hotpath without a cycle: registry-only root.
-        "repro.jobs.flow.Flow.advance",
     ),
     closure=(
         # maxmin helpers reached from the fill loop and the engine.
@@ -112,7 +109,8 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.runtime.CoflowSimulation._release_coflow",
         "repro.simulator.runtime.CoflowSimulation._handle_scheduler_update",
         "repro.simulator.runtime.CoflowSimulation._time_tick",
-        # Jobs-layer helpers on the event path (registry-only, see above).
+        # Jobs-layer helpers on the event path: the jobs layer cannot
+        # import repro.simulator.hotpath without a cycle.
         "repro.jobs.coflow.Coflow.release",
         # The version-independent float sum behind wrr_weights.
         "repro.floatsum.ordered_sum",

@@ -1,4 +1,4 @@
-"""SIM306-SIM308: streaming-discipline rules (``--units``).
+"""SIM306-SIM308: streaming-discipline rules (the units layer).
 
 The memory half of the fourth simlint layer.  These rules pre-gate the
 ROADMAP's million-job streaming refactor: once workload arrivals become
@@ -63,7 +63,7 @@ MEM_RULES: Tuple[MemRule, ...] = (
         description=(
             "A repro module uses unit annotations without being listed in "
             "UNITS_MODULES (tools/simlint/units.py), or a registered "
-            "module no longer carries any — the --units layer only "
+            "module no longer carries any — the units layer only "
             "analyzes registered roots, so drift silently unguards code."
         ),
     ),
@@ -259,7 +259,7 @@ def check_registry_drift(
             "SIM308",
             f"module {name} uses unit annotations but is not listed in "
             "UNITS_MODULES (tools/simlint/units.py) — register it so "
-            "--units analyzes it",
+            "the units layer analyzes it",
         )
     for name in sorted(registered):
         mod = project.modules.get(name)

@@ -1,4 +1,4 @@
-"""SIM201-SIM207: performance rules over the hot closure (``--perf``).
+"""SIM201-SIM207: performance rules over the hot closure (the perf layer).
 
 The third simlint layer.  :mod:`tools.simlint.hotpath` resolves the
 hot-path registry against the project and yields (a) the registered hot
@@ -16,8 +16,7 @@ had to remove by hand:
 ``# simlint: ignore[SIM2xx]`` pragmas suppress findings per line exactly
 as for the other layers; the separate ``# simlint: hot-ok[reason]``
 pragma (SIM207 only) acknowledges a deliberately-cold call *out of* the
-closure.  The committed ``tools/simlint/perf_baseline.json`` uses the
-same mechanics as the deep baseline.
+closure.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ from tools.simlint.callgraph import (
 from tools.simlint.findings import Finding, PragmaIndex
 from tools.simlint.hotpath import HotAnalysis, analyze_hot_paths, local_types_for
 from tools.simlint.hotpaths import HotPathRegistry
-
-#: The committed perf baseline consumed by CI and ``make perf-lint``.
-DEFAULT_PERF_BASELINE_PATH = "tools/simlint/perf_baseline.json"
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ class SimlintUsageError(Exception):
 def FINDING_ORDER(finding: Finding) -> Tuple[str, int, str, int]:
     """The canonical finding sort key: ``(path, line, rule, col)``.
 
-    Rule code sorts *before* column so ``--json`` output — and therefore
-    baseline diffs — are stable across filesystems and Python versions
-    even when two rules fire at different columns of the same line.
+    Rule code sorts *before* column so ``--json`` output is stable across
+    filesystems and Python versions even when two rules fire at
+    different columns of the same line.
     """
     return (finding.path, finding.line, finding.code, finding.col)
 
@@ -158,31 +158,32 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
     return out
 
 
-def lint_paths_layers(
+def lint_paths(
     paths: Sequence[str],
     rules: Sequence[Rule] = ALL_RULES,
-    deep: bool = False,
-    perf: bool = False,
-    units: bool = False,
     registry: Optional["HotPathRegistry"] = None,
     units_registry: Optional["UnitsRegistry"] = None,
 ) -> LintReport:
-    """Run any combination of simlint's layers in one unified pass.
+    """Run every simlint layer over the ``.py`` files under ``paths``.
 
-    Every file is parsed exactly once: the per-file rules run on the
-    parsed tree, and when ``deep`` (SIM101-SIM106), ``perf``
-    (SIM201-SIM207), or ``units`` (SIM301-SIM308) is requested the same
-    parsed modules are assembled into one shared
-    :class:`~tools.simlint.callgraph.Project` — not re-read from disk
-    per layer.  Findings from all layers land in one stream sorted once
-    by the canonical ``(path, line, rule, col)`` key, so ``--json``
-    consumers and the baselines see a stable cross-layer order.
+    Every file is parsed exactly once: the per-file rules (``rules``,
+    SIM001-SIM006) run on the parsed tree, and the same parsed modules
+    are assembled into one shared
+    :class:`~tools.simlint.callgraph.Project` for the deep
+    (SIM101-SIM106), perf (SIM201-SIM207) and units (SIM301-SIM308)
+    layers — not re-read from disk per layer.  Findings from all layers
+    land in one stream sorted once by the canonical
+    ``(path, line, rule, col)`` key, so ``--json`` consumers see a
+    stable cross-layer order.
 
     ``registry`` overrides the shipped hot-path registry (fixture tests);
-    it is consulted by the ``perf`` and ``units`` layers (SIM307).
+    it is consulted by the perf and units layers (SIM307).
     ``units_registry`` overrides the shipped SIM308 annotated-module set.
     """
-    from tools.simlint.callgraph import ModuleInfo, parse_module
+    from tools.simlint.callgraph import ModuleInfo, Project, parse_module
+    from tools.simlint.dataflow import analyze_project
+    from tools.simlint.perfrules import perf_lint_project
+    from tools.simlint.units import units_lint_project
 
     report = LintReport()
     modules: List[ModuleInfo] = []
@@ -196,46 +197,14 @@ def lint_paths_layers(
         modules.append(mod)
         report.extend(_lint_parsed(source, mod.tree, path, rules))
 
-    if deep or perf or units:
-        from tools.simlint.callgraph import Project
-
-        project = Project(modules)
-        if deep:
-            from tools.simlint.dataflow import analyze_project
-
-            deep_report = analyze_project(project)
-            report.findings.extend(deep_report.findings)
-            report.suppressed += deep_report.suppressed
-        if perf:
-            from tools.simlint.perfrules import perf_lint_project
-
-            perf_report = perf_lint_project(project, registry=registry)
-            report.findings.extend(perf_report.findings)
-            report.suppressed += perf_report.suppressed
-        if units:
-            from tools.simlint.units import units_lint_project
-
-            units_report = units_lint_project(
-                project, registry=units_registry, hot_registry=registry
-            )
-            report.findings.extend(units_report.findings)
-            report.suppressed += units_report.suppressed
+    project = Project(modules)
+    for layer in (
+        analyze_project(project),
+        perf_lint_project(project, registry=registry),
+        units_lint_project(project, registry=units_registry, hot_registry=registry),
+    ):
+        report.findings.extend(layer.findings)
+        report.suppressed += layer.suppressed
 
     report.findings.sort(key=FINDING_ORDER)
     return report
-
-
-def lint_paths(
-    paths: Sequence[str],
-    rules: Sequence[Rule] = ALL_RULES,
-) -> LintReport:
-    """Lint every ``.py`` file under ``paths`` (per-file rules only)."""
-    return lint_paths_layers(paths, rules=rules)
-
-
-def lint_paths_deep(
-    paths: Sequence[str],
-    rules: Sequence[Rule] = ALL_RULES,
-) -> LintReport:
-    """Per-file rules plus the whole-program SIM101-SIM106 layer."""
-    return lint_paths_layers(paths, rules=rules, deep=True)

@@ -1,4 +1,4 @@
-"""Interprocedural taint tracking for ``simlint --deep``.
+"""Interprocedural taint tracking for simlint's deep layer.
 
 The analysis marks values produced by *nondeterminism sources* and
 follows them through assignments, returns, call arguments, instance
@@ -24,23 +24,34 @@ always carries, plus which *parameters* flow to the return — computed to
 a fixed point over the whole project (context-insensitive: a parameter's
 taint is the union over all call sites).  A function defined inside
 another gets a summary of its own: its free variables start from what
-the enclosing scope's names carry, and a call by its local name feeds
-its parameters, so a flow reads the same inline or moved into a nested
-helper.  Instance-attribute and module-global taints are tracked
+the enclosing scope's names carry, a call by its local name feeds its
+parameters, and what its own writes give a ``nonlocal`` name joins that
+name in the enclosing scope, so a flow reads the same inline or moved
+into a nested helper.  A lambda carries the taints of the enclosing names its body
+reads.  Instance-attribute and module-global taints are tracked
 flow-insensitively.  ``sorted()`` and order-insensitive reductions
 (``sum``, ``len``, ``min``, ``max``, …) kill SIM105 taint; everything
 else unions its operands.
 
 The engine deliberately over-approximates (a tainted operand taints the
-whole expression) — the JSON suppression baseline absorbs residual
-false positives, and pragmas document intentional flows.
+whole expression); a pragma with a reason accepts an intentional flow.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from tools.simlint.callgraph import (
     ClassInfo,
@@ -208,6 +219,11 @@ class FunctionSummary:
     closure_taints: Dict[str, Set[Taint]] = field(default_factory=dict)
     #: local name -> full name of each function defined in this body
     nested: Dict[str, str] = field(default_factory=dict)
+    #: full name of the enclosing function (nested functions only)
+    outer: Optional[str] = None
+    #: concrete taints nested functions write to this scope's names
+    #: through ``nonlocal``
+    nonlocal_taints: Dict[str, Set[Taint]] = field(default_factory=dict)
 
     def seed_param(self, index: int, taints: TaintSet) -> bool:
         bucket = self.param_taints.setdefault(index, set())
@@ -288,7 +304,7 @@ class TaintEngine:
                 node=node,
                 cls=outer.func.cls,  # ``self`` in a method's closure
             )
-            summary = FunctionSummary(func=inner)
+            summary = FunctionSummary(func=inner, outer=outer.func.full_name)
             self.summaries[inner.full_name] = summary
             outer.nested[node.name] = inner.full_name
             self._register_nested(summary)
@@ -307,6 +323,43 @@ class TaintEngine:
     def _analyze_function(
         self, summary: FunctionSummary, observer: Optional[CallObserver]
     ) -> None:
+        walker = self._walk(summary, observer)
+        # What this scope's names carry is what nested functions read.
+        for inner in summary.nested.values():
+            self._merge_closure(inner, walker.locals_taint)
+        # What this function's own writes give its ``nonlocal`` names, the
+        # enclosing scope's names carry.  Not the enclosing value those
+        # names start from: a second walk starts them empty, so a helper
+        # that only reads a ``nonlocal`` name sends nothing back.
+        if summary.outer is not None:
+            declared = _nonlocal_names(summary.func.node)
+            if declared:
+                own = self._walk(summary, None, unseeded=declared).locals_taint
+                for name in declared:
+                    self._merge_nonlocal(summary.outer, name, own.get(name, EMPTY))
+        # Fold return information into the summary.
+        ret_concrete = concrete(walker.return_taints)
+        ret_params = {
+            t.index for t in walker.return_taints if t.kind == KIND_PARAM
+        }
+        if not ret_concrete <= summary.return_taints:
+            summary.return_taints |= ret_concrete
+            self._changed = True
+        if not ret_params <= summary.return_params:
+            summary.return_params |= ret_params
+            self._changed = True
+
+    def _walk(
+        self,
+        summary: FunctionSummary,
+        observer: Optional[CallObserver],
+        unseeded: AbstractSet[str] = frozenset(),
+    ) -> "_ScopeWalker":
+        """Walk one function body from its summary's seeds.
+
+        Names in ``unseeded`` start empty instead of reading the
+        enclosing scope.
+        """
         func = summary.func
         mod = self.project.module_for_function(func)
         cls = self.project.class_for_function(func)
@@ -315,6 +368,8 @@ class TaintEngine:
         # Free variables read the enclosing scope (parameters override).
         for name, taints in summary.closure_taints.items():
             walker.locals_taint[name] = frozenset(taints)
+        for name in unseeded:
+            walker.locals_taint[name] = EMPTY
         # Seed parameters: symbolic marker + everything call sites sent.
         for index, name in enumerate(func.params):
             seeded: Set[Taint] = {
@@ -322,6 +377,13 @@ class TaintEngine:
             }
             seeded |= summary.param_taints.get(index, set())
             walker.locals_taint[name] = frozenset(seeded)
+        # A name a nested function may rebind through ``nonlocal`` carries
+        # those writes wherever it is read, whatever this scope assigns.
+        for name, taints in summary.nonlocal_taints.items():
+            walker.joined[name] = frozenset(taints)
+            walker.locals_taint[name] = (
+                walker.locals_taint.get(name, EMPTY) | walker.joined[name]
+            )
         # Annotated parameters give the resolver receiver types.
         args_node = func.node.args  # type: ignore[attr-defined]
         for arg in [*getattr(args_node, "posonlyargs", []), *args_node.args,
@@ -337,20 +399,7 @@ class TaintEngine:
         for _ in range(2):
             for stmt in func.node.body:  # type: ignore[attr-defined]
                 walker.visit_stmt(stmt)
-        # What this scope's names carry is what nested functions read.
-        for inner in summary.nested.values():
-            self._merge_closure(inner, walker.locals_taint)
-        # Fold return information into the summary.
-        ret_concrete = concrete(walker.return_taints)
-        ret_params = {
-            t.index for t in walker.return_taints if t.kind == KIND_PARAM
-        }
-        if not ret_concrete <= summary.return_taints:
-            summary.return_taints |= ret_concrete
-            self._changed = True
-        if not ret_params <= summary.return_params:
-            summary.return_params |= ret_params
-            self._changed = True
+        return walker
 
     # -- shared state merges -------------------------------------------
     def _merge_field(self, cls_full: str, attr: str, taints: TaintSet) -> None:
@@ -378,6 +427,16 @@ class TaintEngine:
             bucket.update(found)
             if len(bucket) != before:
                 self._changed = True
+
+    def _merge_nonlocal(self, outer: str, name: str, taints: TaintSet) -> None:
+        found = concrete(taints)
+        if not found:
+            return
+        bucket = self.summaries[outer].nonlocal_taints.setdefault(name, set())
+        before = len(bucket)
+        bucket.update(found)
+        if len(bucket) != before:
+            self._changed = True
 
     def _merge_param(self, callee: str, index: int, taints: TaintSet) -> None:
         summary = self.summaries.get(callee)
@@ -408,6 +467,8 @@ class _ScopeWalker:
         self.local_types: Dict[str, str] = {}
         #: local name -> full name of each function defined in this scope
         self.nested_defs: Dict[str, str] = {}
+        #: name -> taints every assignment to it keeps (nonlocal writes)
+        self.joined: Dict[str, TaintSet] = {}
         self.set_locals: Set[str] = set()
         self.return_taints: Set[Taint] = set()
 
@@ -475,11 +536,12 @@ class _ScopeWalker:
                 if isinstance(value, ast.expr):
                     self.eval(value)
             return
-        # Import / Pass / Break / Continue / Global / Nonlocal / Delete: no flow.
+        # Import / Pass / Break / Continue / Global / Delete: no flow; a
+        # nonlocal write joins the enclosing scope (see _analyze_function).
 
     def assign(self, target: ast.expr, taints: TaintSet, value: ast.expr) -> None:
         if isinstance(target, ast.Name):
-            self.locals_taint[target.id] = taints
+            self.locals_taint[target.id] = taints | self.joined.get(target.id, EMPTY)
             if self.is_set_like(value):
                 self.set_locals.add(target.id)
             else:
@@ -647,7 +709,7 @@ class _ScopeWalker:
         if isinstance(node, ast.Starred):
             return self.eval(node.value)
         if isinstance(node, ast.Lambda):
-            return EMPTY  # opaque; lambdas given to run_grid are SIM106's job
+            return self._eval_lambda(node)
         if isinstance(node, (ast.Await, ast.YieldFrom)):
             return self.eval(node.value)  # type: ignore[arg-type]
         if isinstance(node, ast.Yield):
@@ -665,6 +727,21 @@ class _ScopeWalker:
                     out |= self.eval(part)
             return frozenset(out)
         return EMPTY
+
+    def _eval_lambda(self, node: ast.Lambda) -> TaintSet:
+        """A lambda carries what the enclosing names its body reads carry."""
+        inside = list(ast.walk(node))
+        bound = {sub.arg for sub in inside if isinstance(sub, ast.arg)}
+        bound |= {
+            sub.id
+            for sub in inside
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)
+        }
+        out: Set[Taint] = set()
+        for sub in inside:
+            if isinstance(sub, ast.Name) and sub.id not in bound:
+                out |= self.eval(sub)
+        return frozenset(out)
 
     def _eval_comp(
         self,
@@ -838,6 +915,19 @@ def _nested_defs(
             found.append(child)
         elif not isinstance(child, (ast.ClassDef, ast.Lambda)):
             found.extend(_nested_defs(child))
+    return found
+
+
+def _nonlocal_names(node: ast.AST) -> Set[str]:
+    """The names ``node``'s own body declares ``nonlocal``."""
+    found: Set[str] = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Nonlocal):
+            found.update(child.names)
+        elif not isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+        ):
+            found |= _nonlocal_names(child)
     return found
 
 

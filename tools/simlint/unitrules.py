@@ -1,4 +1,4 @@
-"""SIM301-SIM305: dimensional-consistency rules (``--units``).
+"""SIM301-SIM305: dimensional-consistency rules (the units layer).
 
 Descriptors and message templates for the unit half of the fourth
 simlint layer.  The inference engine itself lives in

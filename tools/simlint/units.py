@@ -1,4 +1,4 @@
-"""The ``--units`` layer: interprocedural dimensional analysis.
+"""The units layer: interprocedural dimensional analysis.
 
 This is simlint's fourth layer (SIM301-SIM308).  It assigns each
 expression in the program a *physical unit* from a small lattice::
@@ -29,7 +29,7 @@ calls.  Return units of unannotated functions are inferred to a fixed
 point over the whole :class:`~tools.simlint.callgraph.Project`, so a
 unit planted in ``jobs/flow.py`` is visible at a call site in
 ``theory/gap.py`` — the same interprocedural machinery that powers the
-``--deep`` taint layer.
+deep taint layer.
 
 Analysis is *optimistic*: an unknown unit never fires a rule, so the
 layer only reports when two **known** units disagree.  Rule semantics
@@ -78,7 +78,6 @@ from tools.simlint.unitrules import (
 __all__ = [
     "ALL_UNITS_RULES",
     "ALL_UNITS_RULES_BY_CODE",
-    "DEFAULT_UNITS_BASELINE_PATH",
     "UNITS_MODULES",
     "UNITS_REGISTRY",
     "UnitsRegistry",
@@ -86,9 +85,6 @@ __all__ = [
     "units_lint_paths",
     "units_lint_project",
 ]
-
-#: Default on-disk baseline for the units layer (committed empty).
-DEFAULT_UNITS_BASELINE_PATH = "tools/simlint/units_baseline.json"
 
 # ----------------------------------------------------------------------
 # The unit lattice
