@@ -101,6 +101,9 @@ class AllocationState:
 
     def __init__(self, capacities: Sequence[BytesPerSec]) -> None:
         self._caps: npt.NDArray[np.float64] = np.asarray(capacities, dtype=float)
+        #: the fills' link vector, allocated once: each allocation writes
+        #: it at the links its fills read, and every entry stays >= 0
+        self._residual: npt.NDArray[np.float64] = np.zeros_like(self._caps)
         self.all_flows = LinkMembership(len(self._caps))
         self._class_members: Optional[List[LinkMembership]] = None
         self._num_classes: Optional[int] = None
@@ -308,15 +311,22 @@ class AllocationState:
                 self.stats.delta_updates += 1
 
     def _compute(self, request: AllocationRequest) -> Dict[int, BytesPerSec]:
+        residual = self._residual
+        if request.mode is AllocationMode.WRR:
+            assert self._class_members is not None
+            return allocate_wrr_memberships(
+                self._class_members,
+                self.all_flows,
+                self._caps,
+                residual,
+                utilization=request.utilization,
+                weight_mode=request.weight_mode,
+            )
+        # The fills read and write only the active links, so only those
+        # need fresh capacities.
+        links = self.all_flows.active_links()
+        residual[links] = self._caps[links]
         if request.mode is AllocationMode.MAXMIN:
-            return water_fill_membership(self.all_flows, self._caps.copy())
+            return water_fill_membership(self.all_flows, residual)
         assert self._class_members is not None
-        if request.mode is AllocationMode.SPQ:
-            return allocate_spq_memberships(self._class_members, self._caps.copy())
-        return allocate_wrr_memberships(
-            self._class_members,
-            self.all_flows,
-            self._caps,
-            utilization=request.utilization,
-            weight_mode=request.weight_mode,
-        )
+        return allocate_spq_memberships(self._class_members, residual)

@@ -7,22 +7,26 @@ with an equal or smaller rate (Bertsekas & Gallager's water-filling).
 
 This is the hot path of the whole simulator.  :func:`water_fill_membership`
 works on the *active* links only — the links at least one of its flows
-crosses, i.e. the keys of :attr:`LinkMembership.link_members`.  A link
-without members has share +inf and can never bottleneck, so a fill's
-work scales with the links its flows cross, not with the fabric (6,144
-directed links at k=16, about 166k at the paper's 48 pods).  The residual
-is read and written only at active links; every caller passes residuals
->= 0 at the other links, so clamping just the active entries is exactly
-a whole-array clamp.
+crosses.  A link without members has share +inf and can never bottleneck,
+so a fill's work scales with the links its flows cross, not with the
+fabric (6,144 directed links at k=16, about 166k at the paper's 48 pods).
+:class:`LinkMembership` gives every active link a dense *slot* and keeps
+each flow's route as slots, so a fill indexes its per-link state by slot
+and allocates nothing sized by the fabric.  The residual is read and
+written only at active links; every caller passes residuals >= 0 at the
+other links, so clamping just the active entries is exactly a
+whole-array clamp.
 
 The round loop maintains the active links' fair-share vector
-*incrementally*: it is derived once per fill, then each round only finds
-its minimum, freezes the members of the bottleneck links (in ascending
-link id), and recomputes the share at only the links those flows touched;
-a link's count hits zero the round it bottlenecks, so each member list
-is scanned at most once per fill.  Within one round every frozen flow
-subtracts the *same* bottleneck share from its links, so the produced
-rates do not depend on the order flows were frozen in.
+*incrementally*: it is derived once per fill, then each round takes its
+minimum, gathers the links tied with it (each found minimum is set to
++inf and the next one taken), freezes their members in ascending link id,
+and recomputes the share at only the links those flows cross, in the same
+pass that subtracts their rates.  A link's count hits zero the round it
+bottlenecks, so each member list is scanned at most once per fill.
+Within one round every frozen flow subtracts the *same* bottleneck share
+from its links, so the produced rates do not depend on the order flows
+were frozen in.
 
 The membership structures (which flows cross which link) are factored into
 :class:`LinkMembership` so the incremental engine
@@ -32,19 +36,16 @@ rebuilding them on every call.  :func:`water_fill` builds a fresh
 membership per call; it is the from-scratch reference the invariant
 checker audits the engine against.
 
-Float comparisons against the bottleneck share and against exhausted
-residual capacity are routed through the blessed helpers
-:func:`share_at_most` / :func:`capacity_exhausted` (the
-:mod:`repro.simulator.timecmp` discipline applied to rates): capacities
-revoked to zero by fault injection, or degraded to within ``_EPSILON`` of
-zero, must freeze their flows instead of spinning the progressive-filling
-loop on sub-epsilon residuals.
+Links whose share ties with the bottleneck within ``_EPSILON`` freeze in
+the same round: capacities revoked to zero by fault injection, or
+degraded to within ``_EPSILON`` of zero, freeze their flows instead of
+spinning the progressive-filling loop on sub-epsilon residuals.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -52,38 +53,8 @@ import numpy.typing as npt
 from repro.simulator.hotpath import hot_path
 from repro.simulator.units import BytesPerSec
 
-#: Rate tolerance for freeze/exhaustion comparisons (bytes/second).
+#: Rate tolerance for the bottleneck tie test (bytes/second).
 _EPSILON: BytesPerSec = 1e-9
-
-
-def share_at_most(
-    shares: npt.NDArray[np.float64],
-    bottleneck: BytesPerSec,
-    out: Union[npt.NDArray[np.bool_], None] = None,
-) -> npt.NDArray[np.bool_]:
-    """Blessed comparison: which ``shares`` equal ``bottleneck`` within
-    tolerance?
-
-    The absolute ``_EPSILON`` slack mirrors the historical behaviour (and
-    keeps the figure fingerprints bit-identical); links whose fair share
-    ties with the bottleneck within it freeze in the same round instead of
-    spinning one near-empty round each.  ``out`` lets the hot loop reuse
-    a round-scratch buffer.
-    """
-    result: npt.NDArray[np.bool_] = np.less_equal(
-        shares, bottleneck + _EPSILON, out=out
-    )
-    return result
-
-
-def capacity_exhausted(capacity: BytesPerSec) -> bool:
-    """Blessed comparison: is a residual capacity effectively zero?
-
-    Fault-degraded links (``set_capacity`` to zero, or drift within
-    ``_EPSILON`` of it) cannot host progress; their flows must freeze at
-    share zero rather than keep the filling loop alive.
-    """
-    return capacity <= _EPSILON
 
 #: A flow's route: the directed link ids it traverses.
 Route = Tuple[int, ...]
@@ -100,19 +71,36 @@ class LinkMembership:
     ``link_members`` maps link id -> insertion-ordered dict used as an
     ordered set (values are ``None``); deterministic iteration order is what
     keeps engine allocations reproducible run to run.
+
+    Every active link (one with members) holds a dense slot:
+    ``slot_links[slot_of[link]] == link``, and ``route_slots`` gives each
+    flow's route as slots.  A link gets the next slot when it gains its
+    first member; when it loses its last one, the link in the last slot
+    moves into its place.  :meth:`active_links` is ``slot_links`` as an
+    index array, rebuilt only after the slots change.
     """
 
-    __slots__ = ("num_links", "routes", "counts", "link_members", "route_arrays")
+    __slots__ = (
+        "num_links",
+        "routes",
+        "counts",
+        "link_members",
+        "slot_of",
+        "slot_links",
+        "route_slots",
+        "_active",
+    )
 
     def __init__(self, num_links: int) -> None:
         self.num_links = num_links
         self.routes: Dict[int, Route] = {}
         self.counts: npt.NDArray[np.int64] = np.zeros(num_links, dtype=np.int64)
         self.link_members: Dict[int, Dict[int, None]] = {}
-        #: per-flow route as an index array, kept in lockstep with
-        #: ``routes`` — WRR's per-class charge gathers these instead of
-        #: re-materialising arrays from tuples every allocation.
-        self.route_arrays: Dict[int, npt.NDArray[np.intp]] = {}
+        self.slot_of: Dict[int, int] = {}
+        self.slot_links: List[int] = []
+        #: per-flow route as slots, kept in lockstep with ``routes``
+        self.route_slots: Dict[int, Tuple[int, ...]] = {}
+        self._active: Optional[npt.NDArray[np.intp]] = None
 
     @classmethod
     def from_routes(
@@ -128,7 +116,7 @@ class LinkMembership:
         if flow_id in self.routes:
             raise ValueError(f"flow {flow_id} already in membership")
         self.routes[flow_id] = route
-        self.route_arrays[flow_id] = np.asarray(route, dtype=np.intp)
+        slot_of = self.slot_of
         for link_id in route:
             self.counts[link_id] += 1
             members = self.link_members.get(link_id)
@@ -137,17 +125,48 @@ class LinkMembership:
                 # hop; this allocates only when a link gains its first
                 # member.
                 members = self.link_members[link_id] = {}  # simlint: ignore[SIM202] (first-member only)
+                slot_of[link_id] = len(self.slot_links)
+                self.slot_links.append(link_id)  # simlint: ignore[SIM307] (one entry per active link; remove() frees it)
+                self._active = None
             members[flow_id] = None
+        self.route_slots[flow_id] = tuple(map(slot_of.__getitem__, route))
 
     def remove(self, flow_id: int) -> None:
         route = self.routes.pop(flow_id)
-        del self.route_arrays[flow_id]
+        del self.route_slots[flow_id]
         for link_id in route:
             self.counts[link_id] -= 1
             members = self.link_members[link_id]
             del members[flow_id]
             if not members:
                 del self.link_members[link_id]
+                self._free_slot(link_id)
+
+    def _free_slot(self, link_id: int) -> None:
+        """Move the last slot's link into the slot ``link_id`` vacated."""
+        self._active = None
+        slot_of = self.slot_of
+        slot = slot_of.pop(link_id)
+        moved = self.slot_links.pop()
+        if moved == link_id:
+            return
+        self.slot_links[slot] = moved
+        slot_of[moved] = slot
+        routes = self.routes
+        route_slots = self.route_slots
+        for flow_id in self.link_members[moved]:
+            # The flow remove() is dropping may still be listed on a link
+            # further along its route; its route is already gone.
+            route = routes.get(flow_id)
+            if route is not None:
+                route_slots[flow_id] = tuple(map(slot_of.__getitem__, route))  # simlint: ignore[SIM202] (one per member of a moved link, only when a link empties)
+
+    def active_links(self) -> npt.NDArray[np.intp]:
+        """``slot_links`` as an index array; callers must not mutate it."""
+        active = self._active
+        if active is None:
+            active = self._active = np.array(self.slot_links, dtype=np.intp)
+        return active
 
     def __len__(self) -> int:
         return len(self.routes)
@@ -169,29 +188,25 @@ def water_fill_membership(
     bandwidth is subtracted and tiny negative drift is clamped — so
     callers can layer allocations, e.g. one priority class after another.
 
-    Only the *active* links — the keys of ``membership.link_members`` —
-    are read or written: a link without members has share +inf and can
-    never bottleneck, so the work of a fill scales with the links its
-    flows cross, not with ``num_links``.  The clamp therefore touches
-    active entries only; every caller passes ``residual >= 0`` elsewhere
+    Only the *active* links — ``membership.slot_links`` — are read or
+    written: a link without members has share +inf and can never
+    bottleneck, so the work of a fill scales with the links its flows
+    cross, not with ``num_links``.  The clamp therefore touches active
+    entries only; every caller passes ``residual >= 0`` elsewhere
     (capacities, WRR budgets, or an earlier fill's clamped output), which
     is why this is exactly the whole-array clamp.
     """
     routes = membership.routes
-    link_members = membership.link_members
-    if not link_members:
+    slot_links = membership.slot_links
+    if not slot_links:
         # Every route is empty: no link can rate-limit these flows.
         return dict.fromkeys(routes, 0.0)
-    rates: Dict[int, BytesPerSec] = {}
-    # Per-fill state is indexed by position in ``links`` (first-member
-    # order); ``position`` maps a link id back to it.  Round state lives
-    # in plain lists — scalar list indexing is several times cheaper than
-    # numpy item access at these sizes.
-    links: List[int] = list(link_members)
-    active = np.fromiter(links, dtype=np.intp, count=len(links))
-    position: List[int] = [0] * membership.num_links
-    for pos, link_id in enumerate(links):
-        position[link_id] = pos
+    link_members = membership.link_members
+    route_slots = membership.route_slots
+    # Per-fill state is indexed by slot.  Round state lives in plain
+    # lists — scalar list indexing is several times cheaper than numpy
+    # item access at these sizes.
+    active = membership.active_links()
     res_active = residual[active]
     counts_active = membership.counts[active]
 
@@ -200,71 +215,75 @@ def water_fill_membership(
     # rounds refresh only the links a frozen flow crosses, with the
     # identical scalar formula.
     inf = np.inf
-    mask_buf = np.greater(counts_active, 0)
-    shares = np.full(len(links), inf)
+    shares = np.full(len(slot_links), inf)
     np.divide(
-        np.maximum(res_active, 0.0), counts_active, out=shares, where=mask_buf
+        np.maximum(res_active, 0.0),
+        counts_active,
+        out=shares,
+        where=counts_active > 0,
     )
     res_l: List[float] = res_active.tolist()
     counts_l: List[int] = counts_active.tolist()
+    argmin = shares.argmin
+    item = shares.item
 
-    frozen: Dict[int, None] = {}
-    remaining = len(routes)
-    while remaining > 0:
-        bottleneck_share = float(shares.min())
+    rates: Dict[int, BytesPerSec] = {}
+    num_flows = len(routes)
+    while len(rates) < num_flows:
+        slot = argmin()
+        bottleneck_share = item(slot)
         if not math.isfinite(bottleneck_share):
             # Remaining flows traverse no contended link (empty routes, or
             # inconsistent membership) — they cannot be rate-limited here.
             for flow_id in routes:
-                if flow_id not in frozen:
+                if flow_id not in rates:
                     rates[flow_id] = 0.0
             break
+        # Gather every link within _EPSILON of the bottleneck: mask each
+        # minimum found with +inf and take the next.  A tied link's count
+        # hits zero this round, so +inf is its share afterwards anyway.
+        limit = bottleneck_share + _EPSILON
+        tied = [slot]  # simlint: ignore[SIM202] (per-round scratch, bounded by the links tied this round)
+        shares[slot] = inf
+        slot = argmin()
+        while item(slot) <= limit:
+            tied.append(slot)
+            shares[slot] = inf
+            slot = argmin()
         # Freeze the tied links in ascending link id, as a scan of the
-        # whole fabric would: ``links`` is in first-member order, and the
+        # whole fabric would: slots are in no particular order, and the
         # freeze order fixes the rates' key order.
-        tied = (
-            share_at_most(shares, bottleneck_share, out=mask_buf)
-            .nonzero()[0]
-            .tolist()
-        )
         if len(tied) > 1:
-            tied.sort(key=links.__getitem__)
-        # A link's count hits zero the round it bottlenecks, so each
-        # link's member list is scanned at most once per fill — skipping
-        # already-frozen members with a dict check beats maintaining
-        # shrunken member copies.
-        newly_frozen: List[int] = []  # simlint: ignore[SIM202] (per-round scratch, bounded by flows frozen this round)
-        for pos in tied:
-            for flow_id in link_members[links[pos]]:
-                if flow_id not in frozen:
-                    frozen[flow_id] = None
-                    newly_frozen.append(flow_id)
-        if not newly_frozen:
+            tied.sort(key=slot_links.__getitem__)
+        frozen_before = len(rates)
+        for slot in tied:
+            for flow_id in link_members[slot_links[slot]]:
+                if flow_id in rates:
+                    continue
+                rates[flow_id] = bottleneck_share
+                # Subtract and refresh in one pass: a route crosses each
+                # link once, and a link shared with a later flow of this
+                # round is just refreshed again (only next round's
+                # minimum reads shares).
+                for s in route_slots[flow_id]:
+                    left = res_l[s] - bottleneck_share
+                    res_l[s] = left
+                    count = counts_l[s] - 1
+                    counts_l[s] = count
+                    if count > 0:
+                        shares[s] = (left if left > 0.0 else 0.0) / count
+                    else:
+                        shares[s] = inf
+        if len(rates) == frozen_before:
             # Defensive: should be impossible, but never spin forever.
             for flow_id in routes:
-                if flow_id not in frozen:
+                if flow_id not in rates:
                     rates[flow_id] = bottleneck_share
             break
-        for flow_id in newly_frozen:
-            rates[flow_id] = bottleneck_share
-            # Subtract and refresh in one pass: a route crosses each link
-            # once, and a link shared with a later flow of this round is
-            # just refreshed again (only next round's min reads shares).
-            for link_id in routes[flow_id]:
-                pos = position[link_id]
-                left = res_l[pos] - bottleneck_share
-                res_l[pos] = left
-                count = counts_l[pos] - 1
-                counts_l[pos] = count
-                if count > 0:
-                    shares[pos] = (left if left > 0.0 else 0.0) / count
-                else:
-                    shares[pos] = inf
-        remaining -= len(newly_frozen)
 
     # Write back the active entries, clamping tiny negative float drift.
-    res_active = np.array(res_l)
-    np.clip(res_active, 0.0, None, out=res_active)
+    res_active = np.array(res_l, dtype=np.float64)
+    np.maximum(res_active, 0.0, out=res_active)
     residual[active] = res_active
     return rates
 

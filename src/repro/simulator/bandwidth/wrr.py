@@ -19,11 +19,19 @@ normalized so that ``sum w_k = 1``.  (The paper's formula as printed reads
 ``w_k = W_k / sum W``, which would order weights backwards; we implement the
 inverse-wait reading by default and keep the literal one available for
 ablation via ``mode="literal"``.)
+
+Both passes of :func:`allocate_wrr_memberships` stay on the active links:
+a class's budget ``w_k * capacity`` is written only at the links its flows
+cross, the classes' charges are summed per active link with one
+``np.bincount`` over the all-flows membership's slots, and the leftover is
+written only at the links some flow crosses.  So an allocation allocates
+nothing sized by the fabric.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from itertools import chain
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -121,6 +129,7 @@ def allocate_wrr(
         class_members,
         all_flows,
         caps,
+        np.zeros_like(caps),
         utilization=utilization,
         weight_mode=weight_mode,
     )
@@ -130,6 +139,7 @@ def allocate_wrr_memberships(
     class_members: Sequence[LinkMembership],
     all_flows: LinkMembership,
     capacities: npt.NDArray[np.float64],
+    residual: npt.NDArray[np.float64],
     utilization: float = DEFAULT_UTILIZATION,
     weight_mode: str = "inverse_wait",
 ) -> Dict[int, float]:
@@ -137,7 +147,10 @@ def allocate_wrr_memberships(
 
     ``class_members`` mirror :func:`group_by_class`; ``all_flows`` is the
     union membership used by the work-conservation pass.  ``capacities`` is
-    not mutated.
+    not mutated.  ``residual`` is the link vector the fills work in: each
+    class's budget, and then the leftover, is written into it at just the
+    links that fill reads.  Its other entries are never read, but must be
+    >= 0, as for any fill.  Nothing here is sized by the fabric.
     """
     counts = [len(members) for members in class_members]
     weights = wrr_weights(
@@ -152,36 +165,39 @@ def allocate_wrr_memberships(
         if c > 0:
             busy_weight += w
     rates: Dict[int, float] = {}
-    caps = capacities
-    consumed = np.zeros_like(caps)
+    all_slots = all_flows.route_slots
+    charged_slots: List[Tuple[int, ...]] = []
+    charged_rates: List[float] = []
 
     for cls, members in enumerate(class_members):
         if not len(members) or busy_weight <= 0:
             continue
         share = weights[cls] / busy_weight
-        # Guaranteed budget for this class on every link.
-        budget = caps * share
-        class_rates = water_fill_membership(members, budget)
+        # Guaranteed budget for this class on every link it crosses.
+        links = members.active_links()
+        residual[links] = capacities[links] * share  # simlint: ignore[SIM203] (an index-array gather, once per class)
+        class_rates = water_fill_membership(members, residual)
         rates.update(class_rates)
-        # Unbuffered np.add.at applies the per-flow charges sequentially in
-        # class_rates order — float-identical to the historical nested loop.
-        route_arrays = members.route_arrays
-        arrs = [route_arrays[flow_id] for flow_id in class_rates]  # simlint: ignore[SIM202] (per-class batch setup, bounded by num_classes)
-        if arrs:
-            lengths = np.fromiter(
-                (a.size for a in arrs), dtype=np.intp, count=len(arrs)  # simlint: ignore[SIM202] (per-class batch setup, bounded by num_classes)
-            )
-            charges = np.repeat(
-                np.fromiter(
-                    class_rates.values(), dtype=np.float64, count=len(arrs)
-                ),
-                lengths,
-            )
-            np.add.at(consumed, np.concatenate(arrs), charges)
+        charged_slots.extend(map(all_slots.__getitem__, class_rates))
+        charged_rates.extend(class_rates.values())
+
+    # What the classes consumed at each all-flows slot.  bincount adds a
+    # slot's charges left to right from 0.0, in class order and then in
+    # class_rates order: the sums a sequential scatter-add of every
+    # charge into a zeroed vector makes.
+    hops = np.fromiter(
+        map(len, charged_slots), dtype=np.intp, count=len(charged_slots)
+    )
+    consumed = np.bincount(
+        np.array(list(chain.from_iterable(charged_slots)), dtype=np.intp),
+        weights=np.repeat(np.array(charged_rates), hops),
+        minlength=len(all_flows.slot_links),
+    )
 
     # Work-conservation pass: hand out whatever is left to everyone.
-    leftover = np.maximum(caps - consumed, 0.0)
-    extra = water_fill_membership(all_flows, leftover)
-    for flow_id, bonus in extra.items():
-        rates[flow_id] = rates.get(flow_id, 0.0) + bonus
-    return rates
+    links = all_flows.active_links()
+    residual[links] = np.maximum(capacities[links] - consumed, 0.0)
+    extra = water_fill_membership(all_flows, residual)
+    return {
+        flow_id: rates.get(flow_id, 0.0) + bonus for flow_id, bonus in extra.items()
+    }

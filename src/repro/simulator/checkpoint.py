@@ -31,7 +31,7 @@ probes patched onto the instance (a restored run has none).
 
 On-disk format (all one pickle stream)::
 
-    {"magic": "repro-checkpoint", "schema": 2,
+    {"magic": "repro-checkpoint", "schema": 3,
      "fingerprint": blake2b(body), "simulated_time": float, "body": bytes}
 
 where ``body`` is the pickled simulation.  Files are written atomically
@@ -61,8 +61,9 @@ __all__ = [
 
 #: Schema version of the on-disk checkpoint format.  Bump on any change
 #: to the body's structure; readers reject other versions rather than
-#: guessing.  Schema 2 pickles the simulation itself.
-CHECKPOINT_SCHEMA = 2
+#: guessing.  Schema 2 pickles the simulation itself; schema 3 pickles
+#: link memberships that number their links with slots.
+CHECKPOINT_SCHEMA = 3
 
 _MAGIC = "repro-checkpoint"
 

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.jobs.flow import VOLUME_EPSILON, Flow
 from repro.simulator.bandwidth.engine import AllocationState
+from repro.simulator.bandwidth.maxmin import LinkMembership
 from repro.simulator.bandwidth.request import (
     AllocationMode,
     AllocationRequest,
@@ -60,6 +61,49 @@ def invariants_from_env() -> Tuple[bool, bool]:
     if raw == "strict":
         return True, True
     return raw in _TRUTHY, False
+
+
+def slot_problem(membership: LinkMembership) -> Optional[str]:
+    """What is wrong with ``membership``'s slots, or None if nothing is.
+
+    The slots must number the active links exactly once each
+    (``slot_of`` inverts ``slot_links``), the index array the fills read
+    must list them in slot order, and each flow's route slots must map
+    back to its route.
+    """
+    slot_links = membership.slot_links
+    slot_of = membership.slot_of
+    link_members = membership.link_members
+    if len(slot_links) != len(link_members) or len(slot_of) != len(slot_links):
+        return (
+            f"{len(slot_links)} slots and {len(slot_of)} slot_of entries "
+            f"for {len(link_members)} active links"
+        )
+    for slot, link_id in enumerate(slot_links):
+        if link_id not in link_members:
+            return f"slot {slot} holds link {link_id}, which has no members"
+        if slot_of.get(link_id) != slot:
+            return (
+                f"slot {slot} holds link {link_id}, but slot_of says "
+                f"{slot_of.get(link_id)}"
+            )
+    if membership.active_links().tolist() != slot_links:
+        return "the active-link index array is not slot_links"
+    route_slots = membership.route_slots
+    if route_slots.keys() != membership.routes.keys():
+        return "route slots and routes cover different flows"
+    for flow_id, route in membership.routes.items():
+        slots = route_slots[flow_id]
+        mapped = tuple(
+            slot_links[slot] if 0 <= slot < len(slot_links) else None
+            for slot in slots
+        )
+        if mapped != route:
+            return (
+                f"flow {flow_id}'s route slots {slots} map to {mapped}, "
+                f"not to its route {route}"
+            )
+    return None
 
 
 @dataclass(frozen=True)
@@ -355,9 +399,22 @@ class InvariantChecker:
                     f"{expected_counts[link_id]}",
                 )
 
+        self._audit_slots("all-flows", engine.all_flows, now)
         self._audit_class_layout(engine, expected_routes, request, now)
+        for cls, membership in enumerate(engine.class_members or ()):
+            self._audit_slots(f"class-{cls}", membership, now)
         if self._counts[self.CACHE_COHERENCE] == violations_before:
             self._audit_rates(engine, expected_routes, request, now)
+
+    def _audit_slots(
+        self, label: str, membership: LinkMembership, now: float
+    ) -> None:
+        """A membership's slots must index exactly its active links."""
+        problem = slot_problem(membership)
+        if problem is not None:
+            self._record(
+                self.CACHE_COHERENCE, now, f"{label} membership slots: {problem}"
+            )
 
     def _audit_rates(
         self,

@@ -13,13 +13,32 @@ Test-only: nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Union
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.simulator.bandwidth.maxmin import LinkMembership, share_at_most
+from repro.simulator.bandwidth.maxmin import _EPSILON, LinkMembership
 from repro.simulator.units import BytesPerSec
+
+
+def share_at_most(
+    shares: npt.NDArray[np.float64],
+    bottleneck: BytesPerSec,
+    out: Union[npt.NDArray[np.bool_], None] = None,
+) -> npt.NDArray[np.bool_]:
+    """Which ``shares`` equal ``bottleneck`` within tolerance?
+
+    The absolute ``_EPSILON`` slack mirrors the historical behaviour (and
+    keeps the figure fingerprints bit-identical); links whose fair share
+    ties with the bottleneck within it freeze in the same round instead of
+    spinning one near-empty round each.  ``out`` lets the loop reuse a
+    round-scratch buffer.
+    """
+    result: npt.NDArray[np.bool_] = np.less_equal(
+        shares, bottleneck + _EPSILON, out=out
+    )
+    return result
 
 
 def water_fill_membership(

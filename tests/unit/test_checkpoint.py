@@ -35,7 +35,7 @@ class TestFileFormat:
         path = tmp_path / "sim.ckpt"
         fingerprint = write_checkpoint(sim, path)
         payload = read_checkpoint(path)
-        assert payload["schema"] == CHECKPOINT_SCHEMA == 2
+        assert payload["schema"] == CHECKPOINT_SCHEMA == 3
         assert payload["fingerprint"] == fingerprint
         assert payload["simulated_time"] == sim.now
         assert isinstance(payload["simulation"], CoflowSimulation)
@@ -89,8 +89,9 @@ class TestFileFormat:
         write_checkpoint(sim, path)
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        # Schema 1 held per-component snapshots, not the pickled simulation.
-        for schema in (1, CHECKPOINT_SCHEMA + 1):
+        # Schema 1 held per-component snapshots, not the pickled simulation;
+        # schema 2 pickled link memberships without slots.
+        for schema in (1, 2, CHECKPOINT_SCHEMA + 1):
             payload["schema"] = schema
             path.write_bytes(pickle.dumps(payload, protocol=4))
             with pytest.raises(CheckpointError, match="schema"):

@@ -137,11 +137,11 @@ class TestEdgeCases:
         # Craft an inconsistent membership (counts claim a flow on link 0
         # but its member table is empty) to drive the "should be
         # impossible" spin guard: the survivors are frozen at the
-        # bottleneck share instead of looping forever.  Link 0 keeps an
-        # (empty) member entry so the fill still counts it as active.
+        # bottleneck share instead of looping forever.  Link 0 keeps its
+        # slot and an (empty) member entry, so the fill still counts it
+        # as active.
         membership = LinkMembership(1)
-        membership.routes[1] = (0,)
-        membership.counts[0] = 1
-        membership.link_members[0] = {}
+        membership.add(1, (0,))
+        membership.link_members[0].clear()
         rates = water_fill_membership(membership, np.array([6.0]))
         assert rates == {1: 6.0}

@@ -611,7 +611,8 @@ class TestInterproceduralPropagation:
 #: through a nested helper three ways: the helper reads the flow from the
 #: enclosing scope, takes it as an argument, or returns it.  A lambda
 #: submitted in place of the worker carries what its body reads, and a
-#: nested helper can write the flow back through ``nonlocal``.
+#: nested helper can write the flow back through ``nonlocal``, through a
+#: ``global`` declaration, or into an object the enclosing scope holds.
 NESTED_FORMS = {
     "inline": """
         import os
@@ -669,6 +670,44 @@ NESTED_FORMS = {
             refresh()
             return executor.submit(work, salt)
     """,
+    "global": """
+        import os
+
+        _salt = "x"
+
+        def refresh():
+            global _salt
+            _salt = os.environ.get("SALT", "x")
+
+        def launch_all(executor, work):
+            refresh()
+            return executor.submit(work, _salt)
+    """,
+    "mutated": """
+        import os
+
+        def launch_all(executor, work):
+            box = {}
+
+            def refresh():
+                box["salt"] = os.environ.get("SALT", "x")
+
+            refresh()
+            return executor.submit(work, box["salt"])
+    """,
+    "mutated-attribute": """
+        import os
+        import types
+
+        def launch_all(executor, work):
+            box = types.SimpleNamespace()
+
+            def refresh():
+                box.salt = os.environ.get("SALT", "x")
+
+            refresh()
+            return executor.submit(work, box.salt)
+    """,
 }
 
 
@@ -710,6 +749,22 @@ class TestNestedFunctions:
                         future = executor.submit(work, salt)
                         salt = os.environ.get("SALT", "x")
                         return future, salt
+                """,
+                # A helper that fills a dict of its own, under the name
+                # the enclosing scope uses, writes nothing back.
+                "own_box": """
+                    import os
+
+                    def launch_all(executor, work):
+                        box = {}
+
+                        def stash():
+                            box = {}
+                            box["salt"] = os.environ.get("SALT", "x")
+                            return len(box)
+
+                        stash()
+                        return executor.submit(work, box)
                 """,
             },
         )

@@ -3,9 +3,8 @@
 The progressive-filling loop must terminate for every input the runtime
 can produce — zero-capacity (fault-revoked) links, capacities within
 ``_EPSILON`` of zero after layered subtraction drift, empty routes — and
-must never leave negative residual capacity behind.  All near-zero
-comparisons go through the blessed helpers ``share_at_most`` /
-``capacity_exhausted`` so the tolerance is defined in exactly one place.
+must never leave negative residual capacity behind.  Links whose shares
+lie within ``_EPSILON`` of the bottleneck freeze in the same round.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import pytest
 from repro.simulator.bandwidth.maxmin import (
     _EPSILON,
     LinkMembership,
-    capacity_exhausted,
-    share_at_most,
     water_fill,
     water_fill_membership,
 )
@@ -40,17 +37,26 @@ def _widen(flow_routes, num_links, start=10_000):
     return widened, num_links + _PADDING_FLOWS
 
 
-class TestBlessedHelpers:
-    def test_capacity_exhausted_at_zero_and_below_epsilon(self):
-        assert capacity_exhausted(0.0)
-        assert capacity_exhausted(_EPSILON / 2)
-        assert capacity_exhausted(-1e-12)
-        assert not capacity_exhausted(10.0 * _EPSILON)
+class TestEpsilonTies:
+    """Two single-flow links, the second ``gap`` above the first."""
 
-    def test_share_at_most_ties_within_epsilon(self):
-        shares = np.array([1.0, 1.0 + _EPSILON / 2, 1.0 + 10 * _EPSILON, 2.0])
-        mask = share_at_most(shares, 1.0)
-        assert mask.tolist() == [True, True, False, False]
+    @staticmethod
+    def _fill(gap):
+        membership = _membership({1: (0,), 2: (1,)}, 2)
+        residual = np.array([1.0, 1.0 + gap])
+        return water_fill_membership(membership, residual), residual
+
+    def test_links_within_epsilon_share_a_round(self):
+        rates, residual = self._fill(_EPSILON / 2)
+        # Both flows froze at the first round's share; the second link
+        # keeps the sub-epsilon rest.
+        assert rates == {1: 1.0, 2: 1.0}
+        assert residual.tolist() == [0.0, (1.0 + _EPSILON / 2) - 1.0]
+
+    def test_ten_epsilon_apart_take_two_rounds(self):
+        rates, residual = self._fill(10 * _EPSILON)
+        assert rates == {1: 1.0, 2: 1.0 + 10 * _EPSILON}
+        assert residual.tolist() == [0.0, 0.0]
 
 
 class TestTermination:

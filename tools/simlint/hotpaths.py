@@ -78,10 +78,11 @@ REGISTRY = HotPathRegistry(
     ),
     closure=(
         # maxmin helpers reached from the fill loop and the engine.
-        "repro.simulator.bandwidth.maxmin.share_at_most",
         "repro.simulator.bandwidth.maxmin.LinkMembership.from_routes",
         "repro.simulator.bandwidth.maxmin.LinkMembership.add",
         "repro.simulator.bandwidth.maxmin.LinkMembership.remove",
+        "repro.simulator.bandwidth.maxmin.LinkMembership._free_slot",
+        "repro.simulator.bandwidth.maxmin.LinkMembership.active_links",
         # Priority-class allocators the engine dispatches per epoch.
         "repro.simulator.bandwidth.spq.allocate_spq_memberships",
         "repro.simulator.bandwidth.wrr.class_loads_from_counts",

@@ -25,11 +25,13 @@ a fixed point over the whole project (context-insensitive: a parameter's
 taint is the union over all call sites).  A function defined inside
 another gets a summary of its own: its free variables start from what
 the enclosing scope's names carry, a call by its local name feeds its
-parameters, and what its own writes give a ``nonlocal`` name joins that
+parameters, and what its own writes give a ``nonlocal`` name, or an
+enclosing name's object (``box["k"] = …``, ``box.k = …``), joins that
 name in the enclosing scope, so a flow reads the same inline or moved
-into a nested helper.  A lambda carries the taints of the enclosing names its body
-reads.  Instance-attribute and module-global taints are tracked
-flow-insensitively.  ``sorted()`` and order-insensitive reductions
+into a nested helper.  A write to a name a function declares ``global``
+joins the module global.  A lambda carries the taints of the enclosing
+names its body reads.  Instance-attribute and module-global taints are
+tracked flow-insensitively.  ``sorted()`` and order-insensitive reductions
 (``sum``, ``len``, ``min``, ``max``, …) kill SIM105 taint; everything
 else unions its operands.
 
@@ -222,8 +224,14 @@ class FunctionSummary:
     #: full name of the enclosing function (nested functions only)
     outer: Optional[str] = None
     #: concrete taints nested functions write to this scope's names
-    #: through ``nonlocal``
+    #: through ``nonlocal``, or into the objects those names hold
     nonlocal_taints: Dict[str, Set[Taint]] = field(default_factory=dict)
+    #: names this body declares ``global``; its writes reach the module
+    global_decls: FrozenSet[str] = frozenset()
+    #: nested function only: enclosing-scope names its writes reach, the
+    #: ones it declares ``nonlocal`` and the ones whose objects it
+    #: mutates by subscript or attribute
+    writes_back: FrozenSet[str] = frozenset()
 
     def seed_param(self, index: int, taints: TaintSet) -> bool:
         bucket = self.param_taints.setdefault(index, set())
@@ -268,7 +276,9 @@ class TaintEngine:
     def __init__(self, project: Project) -> None:
         self.project = project
         self.summaries: Dict[str, FunctionSummary] = {
-            name: FunctionSummary(func=info)
+            name: FunctionSummary(
+                func=info, global_decls=_declared_names(info.node, ast.Global)
+            )
             for name, info in project.functions.items()
         }
         for summary in list(self.summaries.values()):
@@ -304,7 +314,15 @@ class TaintEngine:
                 node=node,
                 cls=outer.func.cls,  # ``self`` in a method's closure
             )
-            summary = FunctionSummary(func=inner, outer=outer.func.full_name)
+            summary = FunctionSummary(
+                func=inner,
+                outer=outer.func.full_name,
+                global_decls=_declared_names(node, ast.Global),
+                writes_back=frozenset(
+                    _declared_names(node, ast.Nonlocal)
+                    | _mutated_free_names(node, outer.func.node)
+                ),
+            )
             self.summaries[inner.full_name] = summary
             outer.nested[node.name] = inner.full_name
             self._register_nested(summary)
@@ -327,16 +345,16 @@ class TaintEngine:
         # What this scope's names carry is what nested functions read.
         for inner in summary.nested.values():
             self._merge_closure(inner, walker.locals_taint)
-        # What this function's own writes give its ``nonlocal`` names, the
-        # enclosing scope's names carry.  Not the enclosing value those
-        # names start from: a second walk starts them empty, so a helper
-        # that only reads a ``nonlocal`` name sends nothing back.
-        if summary.outer is not None:
-            declared = _nonlocal_names(summary.func.node)
-            if declared:
-                own = self._walk(summary, None, unseeded=declared).locals_taint
-                for name in declared:
-                    self._merge_nonlocal(summary.outer, name, own.get(name, EMPTY))
+        # What this function's own writes give the enclosing names it
+        # writes back (``nonlocal`` ones, and ones whose objects it
+        # mutates), the enclosing scope's names carry.  Not the enclosing
+        # value those names start from: a second walk starts them empty,
+        # so a helper that only reads such a name sends nothing back.
+        if summary.outer is not None and summary.writes_back:
+            declared = summary.writes_back
+            own = self._walk(summary, None, unseeded=declared).locals_taint
+            for name in declared:
+                self._merge_nonlocal(summary.outer, name, own.get(name, EMPTY))
         # Fold return information into the summary.
         ret_concrete = concrete(walker.return_taints)
         ret_params = {
@@ -365,6 +383,7 @@ class TaintEngine:
         cls = self.project.class_for_function(func)
         walker = _ScopeWalker(self, mod, func=func, cls=cls, observer=observer)
         walker.nested_defs = summary.nested
+        walker.global_decls = summary.global_decls
         # Free variables read the enclosing scope (parameters override).
         for name, taints in summary.closure_taints.items():
             walker.locals_taint[name] = frozenset(taints)
@@ -469,6 +488,8 @@ class _ScopeWalker:
         self.nested_defs: Dict[str, str] = {}
         #: name -> taints every assignment to it keeps (nonlocal writes)
         self.joined: Dict[str, TaintSet] = {}
+        #: names this scope declares ``global``
+        self.global_decls: AbstractSet[str] = frozenset()
         self.set_locals: Set[str] = set()
         self.return_taints: Set[Taint] = set()
 
@@ -537,7 +558,8 @@ class _ScopeWalker:
                     self.eval(value)
             return
         # Import / Pass / Break / Continue / Global / Delete: no flow; a
-        # nonlocal write joins the enclosing scope (see _analyze_function).
+        # write back to an enclosing name joins the enclosing scope (see
+        # _analyze_function).
 
     def assign(self, target: ast.expr, taints: TaintSet, value: ast.expr) -> None:
         if isinstance(target, ast.Name):
@@ -551,10 +573,14 @@ class _ScopeWalker:
                 self.local_types[target.id] = ctor
             elif target.id in self.local_types:
                 del self.local_types[target.id]
-            # Writes to module globals from the module body walker.
-            if self.func is None and (
-                target.id in self.mod.global_names
-                or target.id in self.mod.mutable_globals
+            # Writes to module globals: from the module body walker, or
+            # from a function that declares the name ``global``.
+            if target.id in self.global_decls or (
+                self.func is None
+                and (
+                    target.id in self.mod.global_names
+                    or target.id in self.mod.mutable_globals
+                )
             ):
                 self.engine._merge_global(self.mod.name, target.id, taints)
         elif isinstance(target, ast.Attribute):
@@ -625,10 +651,10 @@ class _ScopeWalker:
         if isinstance(node, ast.Name):
             if node.id in self.locals_taint:
                 return self.locals_taint[node.id]
-            if node.id in self.mod.global_names or node.id in self.mod.mutable_globals:
-                bucket = self.engine.global_taints.get((self.mod.name, node.id))
-                return frozenset(bucket) if bucket else EMPTY
-            return EMPTY
+            # A module global, assigned at module level or through a
+            # ``global`` declaration.
+            bucket = self.engine.global_taints.get((self.mod.name, node.id))
+            return frozenset(bucket) if bucket else EMPTY
         if isinstance(node, ast.Constant):
             return EMPTY
         if isinstance(node, ast.Attribute):
@@ -918,17 +944,83 @@ def _nested_defs(
     return found
 
 
-def _nonlocal_names(node: ast.AST) -> Set[str]:
-    """The names ``node``'s own body declares ``nonlocal``."""
+def _declared_names(node: ast.AST, kind: type) -> Set[str]:
+    """The names ``node``'s own body declares ``nonlocal`` or ``global``."""
     found: Set[str] = set()
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Nonlocal):
-            found.update(child.names)
+        if isinstance(child, kind):
+            found.update(child.names)  # type: ignore[attr-defined]
         elif not isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
         ):
-            found |= _nonlocal_names(child)
+            found |= _declared_names(child, kind)
     return found
+
+
+def _bound_names(node: ast.AST) -> Set[str]:
+    """The names a function binds in its own scope.
+
+    Parameters, assignment and loop targets, imports, and the functions
+    and classes it defines; ``nonlocal``/``global`` names are not
+    subtracted.
+    """
+    args = node.args  # type: ignore[attr-defined]
+    bound = {
+        arg.arg
+        for arg in [
+            *getattr(args, "posonlyargs", []),
+            *args.args,
+            *args.kwonlyargs,
+            *filter(None, [args.vararg, args.kwarg]),
+        ]
+    }
+
+    def visit(child: ast.AST) -> None:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(child.name)
+            return
+        if isinstance(child, ast.Lambda):
+            return
+        if isinstance(child, ast.Name) and isinstance(child.ctx, (ast.Store, ast.Del)):
+            bound.add(child.id)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            for alias in child.names:
+                bound.add((alias.asname or alias.name).split(".")[0])
+        elif isinstance(child, ast.ExceptHandler) and child.name:
+            bound.add(child.name)
+        for grandchild in ast.iter_child_nodes(child):
+            visit(grandchild)
+
+    for stmt in node.body:  # type: ignore[attr-defined]
+        visit(stmt)
+    return bound
+
+
+def _mutated_free_names(node: ast.AST, outer: ast.AST) -> Set[str]:
+    """Enclosing-scope names whose objects ``node`` writes into.
+
+    A subscript or attribute store (``box["k"] = …``, ``box.k = …``) on a
+    name ``node`` does not bind itself but ``outer`` does.
+    """
+    mutated: Set[str] = set()
+
+    def visit(child: ast.AST) -> None:
+        if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+        ):
+            return
+        if (
+            isinstance(child, (ast.Subscript, ast.Attribute))
+            and isinstance(child.ctx, ast.Store)
+            and isinstance(child.value, ast.Name)
+        ):
+            mutated.add(child.value.id)
+        for grandchild in ast.iter_child_nodes(child):
+            visit(grandchild)
+
+    for stmt in node.body:  # type: ignore[attr-defined]
+        visit(stmt)
+    return (mutated - _bound_names(node)) & _bound_names(outer)
 
 
 def describe_taint(taint: Taint) -> str:
